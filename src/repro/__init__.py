@@ -96,7 +96,6 @@ from .sched import (
     schedule_rcp,
     schedule_sequential,
 )
-from .fastpath import fast_path_enabled, reference_pipeline, set_fast_path
 from .instrument import SpanRecorder, record_spans, span
 from .service import (
     CompileService,
@@ -180,10 +179,7 @@ __all__ = [
     "registered_rules",
     "naive_runtime",
     "parallel_speedup",
-    "fast_path_enabled",
     "record_spans",
-    "reference_pipeline",
-    "set_fast_path",
     "run_sweep",
     "coarse_length_profile",
     "schedule_coarse",

@@ -14,7 +14,13 @@ from typing import Dict, Optional, Set
 
 from ..core.qubits import Qubit
 
-__all__ = ["Scratchpad", "MemoryMap"]
+__all__ = ["Scratchpad", "MemoryMap", "loc_label"]
+
+
+def loc_label(loc: tuple) -> str:
+    """Channel-endpoint label of a :class:`MemoryMap` location:
+    ``"global"``, ``"region2"``, ``"local0"``."""
+    return "global" if loc[0] == "global" else f"{loc[0]}{loc[1]}"
 
 
 class Scratchpad:

@@ -18,7 +18,7 @@ Usage (also available as ``python -m repro``)::
     python -m repro bench BF,CN --topology none,line,mesh --cores 2,4
     python -m repro perf --repeats 2 -o BENCH_perf.json
     python -m repro perf --baseline BENCH_perf.json -o ''
-    python -m repro perf --scale-gates 1000000 --no-reference
+    python -m repro perf --scale-gates 1000000
     python -m repro compile BF --stream --window 1024
     python -m repro compile scale:adder:1e7 --stream --entry-width-only
     python -m repro compile BF --stream --export-stream bf.jsonl.gz
@@ -1020,7 +1020,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         scale_jobs = scale_perf_jobs(target_gates=args.scale_gates)
     payload = run_perf(
         repeats=args.repeats,
-        include_reference=not args.no_reference,
         include_scale=not args.no_scale,
         scale_jobs=scale_jobs,
         scale_fresh_process=not args.scale_in_process,
@@ -1033,7 +1032,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)
     fast = payload["fast"]
-    reference = payload["reference"]
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -1041,31 +1039,24 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"pinned grid: {len(fast['per_job'])} jobs x "
             f"{payload['repeats']} repeat(s), serial, uncached"
         )
-        print(f"{'stage':<28} {'calls':>7} {'fast':>9} {'reference':>10}")
-        print("-" * 57)
-        ref_stages = (reference or {}).get("stages", {})
+        print(f"{'stage':<28} {'calls':>7} {'time':>9}")
+        print("-" * 46)
         for name, stat in sorted(
             fast["stages"].items(), key=lambda kv: -kv[1]["seconds"]
         ):
-            ref = ref_stages.get(name)
-            ref_s = f"{ref['seconds']:>9.3f}s" if ref else "         -"
             print(
-                f"{name:<28} {stat['calls']:>7} "
-                f"{stat['seconds']:>8.3f}s {ref_s}"
+                f"{name:<28} {stat['calls']:>7} {stat['seconds']:>8.3f}s"
             )
-        print("-" * 57)
-        ref_total = (
-            f"{reference['total_compute_s']:>9.3f}s" if reference
-            else "         -"
-        )
+        print("-" * 46)
         print(
             f"{'total compute':<28} {'':>7} "
-            f"{fast['total_compute_s']:>8.3f}s {ref_total}"
+            f"{fast['total_compute_s']:>8.3f}s"
         )
         if fast["peak_rss_kb"] is not None:
             print(f"peak RSS: {fast['peak_rss_kb'] / 1024:.0f} MiB")
-        if payload["speedup"] is not None:
-            print(f"fast-path speedup: {payload['speedup']:.2f}x")
+        print(
+            f"calibration kernel: {fast['calibration_s'] * 1e3:.2f} ms"
+        )
         scale = payload.get("scale")
         if scale and scale.get("jobs"):
             iso = (
@@ -1092,8 +1083,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if args.output:
             print(f"wrote {args.output}")
     failed = set(fast["failed_jobs"])
-    if reference:
-        failed |= set(reference["failed_jobs"])
     for row in (payload.get("scale") or {}).get("jobs", []):
         if row.get("status") != "ok":
             failed.add(row.get("label", "scale:?"))
@@ -2205,19 +2194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_p = sub.add_parser(
         "perf",
-        help=(
-            "benchmark the pipeline on the pinned grid "
-            "(fast path vs reference)"
-        ),
+        help="benchmark the pipeline on the pinned grid",
     )
     p_p.add_argument(
         "--repeats", type=int, default=2, metavar="N",
         help="measurement repeats; minimums are kept (default 2)",
-    )
-    p_p.add_argument(
-        "--no-reference", action="store_true",
-        help="skip the reference-pipeline measurement (faster; "
-             "disables speedup and machine-scaled baseline compare)",
     )
     p_p.add_argument(
         "--baseline", default=None, metavar="FILE",

@@ -30,9 +30,18 @@ module's coarse length becomes the program's realized runtime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..arch.machine import (
     GATE_CYCLES,
@@ -46,7 +55,7 @@ from ..core.operation import Operation
 from ..instrument import span
 from ..sched.coarse import CoarseResult, schedule_coarse
 from ..sched.replay import replay_schedule
-from ..sched.types import Schedule
+from ..sched.types import Move, Schedule
 from ..toolflow import CompileResult
 from .config import EngineConfig
 from .faults import FaultConfig, FaultEvent, FaultInjector, FaultLog
@@ -209,6 +218,11 @@ def _preflight(
     return 0
 
 
+#: One timestep as the engine consumes it: the movement epoch before it,
+#: then ``(region, gate_name, op_count)`` per busy region.
+Epoch = Tuple[Sequence[Move], Sequence[Tuple[int, str, int]]]
+
+
 def run_schedule(
     sched: Schedule,
     machine: MultiSIMD,
@@ -240,205 +254,42 @@ def run_schedule(
     if preflight:
         violations = _preflight(sched, machine, scope)
 
-    fault_config = config.faults or FaultConfig()
-    injector = FaultInjector(fault_config, seed=config.seed, scope=scope)
-    log = FaultLog(seed=config.seed, scope=scope)
-    prestage = sum(
-        1 for m in sched.timesteps[0].moves if m.kind == "teleport"
-    ) if sched.timesteps else 0
-    state = MachineState(
-        sched.k, machine, epr_rate=config.epr_rate, prestage=prestage
-    )
-    trace = EventTrace(scope) if config.collect_trace else None
-    bank_of = (
-        assign_banks(sched, config.numa)
-        if config.numa is not None
-        else None
-    )
+    rounds_of: Optional[Callable[[List[Move]], int]] = None
+    numa = config.numa
+    if numa is not None:
+        bank_of = assign_banks(sched, numa)
 
-    stalls = StallBreakdown()
-    gate_cycles = 0
-    comm_cycles = 0
-    teleport_epochs = 0
-    local_epochs = 0
-    teleport_rounds = 0
+        def numa_rounds(teleports: List[Move]) -> int:
+            # Oversubscribed channels / bank egress split the epoch
+            # into extra teleport rounds.
+            channel_load, bank_load = epoch_teleport_loads(
+                teleports, bank_of, numa, sched.k
+            )
+            return serialize_rounds(channel_load, bank_load, numa)
 
-    with span("engine:execute"):
-        for t, ts in enumerate(sched.timesteps):
-            # --- movement epoch preceding the timestep ------------------
-            teleports, locals_ = split_epoch(ts.moves)
-            nt, nl = len(teleports), len(locals_)
-            base_cost = epoch_cycles(nt, nl)
-            comm_cycles += base_cost
-            if nt:
-                teleport_epochs += 1
-                # Fault injection: failed generation attempts are
-                # regenerated; they waste generator throughput.
-                attempts = injector.epr_generation_attempts(nt)
-                extra = attempts - nt
-                if extra:
-                    log.record(
-                        FaultEvent(
-                            "epr_regen",
-                            cycle=state.clock,
-                            timestep=t,
-                            count=extra,
-                            detail=f"{extra} failed generation "
-                            f"attempt(s) for {nt} pair(s)",
-                        )
-                    )
-                    if trace is not None:
-                        trace.emit(
-                            "epr-regen", "fault", state.clock, 0,
-                            "memory", attempts=extra,
-                        )
-                # Stall until production covers demand; the part due to
-                # regenerated attempts is attributed to faults.
-                demand_wait = state.epr.stall_for(nt, state.clock)
-                total_wait = state.epr.stall_for(attempts, state.clock)
-                fault_wait = total_wait - demand_wait
-                if demand_wait and trace is not None:
-                    trace.emit(
-                        "epr-stall", "stall", state.clock,
-                        demand_wait, "memory", pairs=nt,
-                    )
-                if fault_wait and trace is not None:
-                    trace.emit(
-                        "fault-stall", "stall",
-                        state.clock + demand_wait, fault_wait,
-                        "memory", regenerations=extra,
-                    )
-                stalls.epr += demand_wait
-                stalls.fault += fault_wait
-                state.advance(total_wait)
-                # NUMA serialization: oversubscribed channels / bank
-                # egress split the epoch into extra teleport rounds.
-                rounds = 1
-                if config.numa is not None:
-                    channel_load, bank_load = epoch_teleport_loads(
-                        teleports, bank_of, config.numa, sched.k
-                    )
-                    rounds = serialize_rounds(
-                        channel_load, bank_load, config.numa
-                    )
-                teleport_rounds += rounds
-                epoch_cost = epoch_cycles(nt, nl, rounds)
-                bandwidth_wait = epoch_cost - base_cost
-                if trace is not None:
-                    trace.emit(
-                        "teleport-epoch", "move", state.clock,
-                        base_cost, "memory",
-                        pairs=nt, local_moves=nl, rounds=rounds,
-                    )
-                    if bandwidth_wait:
-                        trace.emit(
-                            "bandwidth-stall", "stall",
-                            state.clock + base_cost, bandwidth_wait,
-                            "memory", rounds=rounds,
-                        )
-                stalls.bandwidth += bandwidth_wait
-                state.epr.consume(teleports, wasted_attempts=extra)
-                state.apply_epoch(ts.moves)
-                state.advance(epoch_cost)
-            elif nl:
-                local_epochs += 1
-                if trace is not None:
-                    trace.emit(
-                        "local-epoch", "move", state.clock,
-                        base_cost, "memory", local_moves=nl,
-                    )
-                state.apply_epoch(ts.moves)
-                state.advance(base_cost)
-            # --- transient region downtime ------------------------------
-            active = [
-                (r, nodes)
+        rounds_of = numa_rounds
+
+    operation = sched.operation
+    epochs = (
+        (
+            ts.moves,
+            [
+                (r, operation(nodes[0]).gate, len(nodes))
                 for r, nodes in enumerate(ts.regions)
                 if nodes
-            ]
-            if fault_config.region_failure_prob > 0:
-                for r, _ in active:
-                    if injector.region_goes_down(r):
-                        down = fault_config.region_downtime
-                        log.record(
-                            FaultEvent(
-                                "region_down",
-                                cycle=state.clock,
-                                timestep=t,
-                                region=r,
-                                detail=f"region {r} down for "
-                                f"{down} cycles",
-                            )
-                        )
-                        log.region_downtime_cycles += down
-                        if trace is not None:
-                            trace.emit(
-                                "region-down", "fault", state.clock,
-                                0, f"region{r}",
-                            )
-                            trace.emit(
-                                "fault-stall", "stall", state.clock,
-                                down, f"region{r}",
-                            )
-                        # Lock-step SIMD: a down region stalls the
-                        # whole machine, not just its own lane.
-                        stalls.fault += down
-                        state.advance(down)
-            # --- execute the timestep -----------------------------------
-            for r, nodes in active:
-                ops = len(nodes)
-                gate = sched.operation(nodes[0]).gate
-                errors = injector.sample_gate_errors(ops)
-                log.expected_gate_errors += (
-                    fault_config.gate_error_rate * ops
-                )
-                if errors:
-                    log.record(
-                        FaultEvent(
-                            "gate_error",
-                            cycle=state.clock,
-                            timestep=t,
-                            count=errors,
-                            region=r,
-                            detail=f"{errors}/{ops} {gate} gate(s) "
-                            "errored (corrected)",
-                        )
-                    )
-                state.execute_region(r, ops, GATE_CYCLES)
-                if trace is not None:
-                    args: Dict[str, Any] = {"ops": ops}
-                    if errors:
-                        args["errors"] = errors
-                    trace.emit(
-                        gate, "gate", state.clock, GATE_CYCLES,
-                        f"region{r}", **args,
-                    )
-            gate_cycles += GATE_CYCLES
-            state.advance(GATE_CYCLES)
-
-    realized = state.clock
-    return EngineResult(
-        module=scope,
-        k=sched.k,
-        realized_runtime=realized,
-        analytic_runtime=gate_cycles + comm_cycles,
-        gate_cycles=gate_cycles,
-        comm_cycles=comm_cycles,
-        stalls=stalls,
-        teleport_epochs=teleport_epochs,
-        local_epochs=local_epochs,
-        teleport_rounds=teleport_rounds,
-        epr_pairs=state.epr.total_pairs,
-        channel_pairs=state.channel_pairs_labels(),
-        utilization=state.utilization(realized),
-        ops_executed=sum(state.ops_executed),
-        trace=trace,
-        fault_log=log,
-        preflight_violations=violations,
+            ],
+        )
+        for ts in sched.timesteps
     )
+    with span("engine:execute"):
+        return _run_epochs(
+            epochs, sched.k, machine, config, scope,
+            rounds_of=rounds_of, preflight_violations=violations,
+        )
 
 
 def run_schedule_stream(
-    epochs,
+    epochs: Iterable[Epoch],
     k: int,
     machine: MultiSIMD,
     config: Optional[EngineConfig] = None,
@@ -486,18 +337,38 @@ def run_schedule_stream(
         )
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    with span("engine:execute-stream"):
+        return _run_epochs(
+            epochs, k, machine, config, scope, sample_every=sample_every
+        )
 
+
+def _run_epochs(
+    epochs: Iterable[Epoch],
+    k: int,
+    machine: MultiSIMD,
+    config: EngineConfig,
+    scope: str,
+    rounds_of: Optional[Callable[[List[Move]], int]] = None,
+    sample_every: int = 1,
+    preflight_violations: Optional[int] = None,
+) -> EngineResult:
+    """The engine loop shared by both entry points: advance the clock
+    through each timestep's movement epoch, fault events and gates.
+
+    ``rounds_of`` maps an epoch's teleports to its teleport-round count
+    (NUMA serialization; one round when ``None``).
+    """
     fault_config = config.faults or FaultConfig()
     injector = FaultInjector(fault_config, seed=config.seed, scope=scope)
     log = FaultLog(seed=config.seed, scope=scope)
     it = iter(epochs)
-    try:
-        first = next(it)
-    except StopIteration:
-        first = None
-    prestage = (
-        sum(1 for m in first[0] if m.kind == "teleport") if first else 0
-    )
+    first = next(it, None)
+    prestage = 0
+    if first is not None:
+        # Timestep 0's pairs are pre-staged before cycle 0.
+        prestage = sum(1 for m in first[0] if m.kind == "teleport")
+        it = chain((first,), it)
     state = MachineState(
         k, machine, epr_rate=config.epr_rate, prestage=prestage
     )
@@ -510,128 +381,138 @@ def run_schedule_stream(
     local_epochs = 0
     teleport_rounds = 0
 
-    def replay():
-        if first is not None:
-            yield first
-        yield from it
-
-    with span("engine:execute-stream"):
-        for t, (moves, active) in enumerate(replay()):
-            sampled = trace is not None and t % sample_every == 0
-            teleports, locals_ = split_epoch(moves)
-            nt, nl = len(teleports), len(locals_)
-            base_cost = epoch_cycles(nt, nl)
-            comm_cycles += base_cost
-            if nt:
-                teleport_epochs += 1
-                teleport_rounds += 1
-                attempts = injector.epr_generation_attempts(nt)
-                extra = attempts - nt
-                if extra:
+    for t, (moves, active) in enumerate(it):
+        sampled = trace is not None and t % sample_every == 0
+        # --- movement epoch preceding the timestep ----------------------
+        teleports, locals_ = split_epoch(moves)
+        nt, nl = len(teleports), len(locals_)
+        base_cost = epoch_cycles(nt, nl)
+        comm_cycles += base_cost
+        if nt:
+            teleport_epochs += 1
+            # Fault injection: failed generation attempts are
+            # regenerated; they waste generator throughput.
+            attempts = injector.epr_generation_attempts(nt)
+            extra = attempts - nt
+            if extra:
+                log.record(
+                    FaultEvent(
+                        "epr_regen",
+                        cycle=state.clock,
+                        timestep=t,
+                        count=extra,
+                        detail=f"{extra} failed generation "
+                        f"attempt(s) for {nt} pair(s)",
+                    )
+                )
+                if trace is not None:
+                    trace.emit(
+                        "epr-regen", "fault", state.clock, 0,
+                        "memory", attempts=extra,
+                    )
+            # Stall until production covers demand; the part due to
+            # regenerated attempts is attributed to faults.
+            demand_wait = state.epr.stall_for(nt, state.clock)
+            total_wait = state.epr.stall_for(attempts, state.clock)
+            fault_wait = total_wait - demand_wait
+            if demand_wait and trace is not None:
+                trace.emit(
+                    "epr-stall", "stall", state.clock,
+                    demand_wait, "memory", pairs=nt,
+                )
+            if fault_wait and trace is not None:
+                trace.emit(
+                    "fault-stall", "stall",
+                    state.clock + demand_wait, fault_wait,
+                    "memory", regenerations=extra,
+                )
+            stalls.epr += demand_wait
+            stalls.fault += fault_wait
+            state.advance(total_wait)
+            rounds = 1 if rounds_of is None else rounds_of(teleports)
+            teleport_rounds += rounds
+            epoch_cost = epoch_cycles(nt, nl, rounds)
+            bandwidth_wait = epoch_cost - base_cost
+            if sampled:
+                trace.emit(
+                    "teleport-epoch", "move", state.clock,
+                    base_cost, "memory",
+                    pairs=nt, local_moves=nl, rounds=rounds,
+                )
+            if bandwidth_wait and trace is not None:
+                trace.emit(
+                    "bandwidth-stall", "stall",
+                    state.clock + base_cost, bandwidth_wait,
+                    "memory", rounds=rounds,
+                )
+            stalls.bandwidth += bandwidth_wait
+            state.epr.consume(teleports, wasted_attempts=extra)
+            state.apply_epoch(moves)
+            state.advance(epoch_cost)
+        elif nl:
+            local_epochs += 1
+            if sampled:
+                trace.emit(
+                    "local-epoch", "move", state.clock,
+                    base_cost, "memory", local_moves=nl,
+                )
+            state.apply_epoch(moves)
+            state.advance(base_cost)
+        # --- transient region downtime ----------------------------------
+        if fault_config.region_failure_prob > 0:
+            for r, _, _ in active:
+                if injector.region_goes_down(r):
+                    down = fault_config.region_downtime
                     log.record(
                         FaultEvent(
-                            "epr_regen",
+                            "region_down",
                             cycle=state.clock,
                             timestep=t,
-                            count=extra,
-                            detail=f"{extra} failed generation "
-                            f"attempt(s) for {nt} pair(s)",
+                            region=r,
+                            detail=f"region {r} down for {down} cycles",
                         )
                     )
+                    log.region_downtime_cycles += down
                     if trace is not None:
                         trace.emit(
-                            "epr-regen", "fault", state.clock, 0,
-                            "memory", attempts=extra,
+                            "region-down", "fault", state.clock,
+                            0, f"region{r}",
                         )
-                demand_wait = state.epr.stall_for(nt, state.clock)
-                total_wait = state.epr.stall_for(attempts, state.clock)
-                fault_wait = total_wait - demand_wait
-                if demand_wait and trace is not None:
-                    trace.emit(
-                        "epr-stall", "stall", state.clock,
-                        demand_wait, "memory", pairs=nt,
-                    )
-                if fault_wait and trace is not None:
-                    trace.emit(
-                        "fault-stall", "stall",
-                        state.clock + demand_wait, fault_wait,
-                        "memory", regenerations=extra,
-                    )
-                stalls.epr += demand_wait
-                stalls.fault += fault_wait
-                state.advance(total_wait)
-                if sampled:
-                    trace.emit(
-                        "teleport-epoch", "move", state.clock,
-                        base_cost, "memory",
-                        pairs=nt, local_moves=nl, rounds=1,
-                    )
-                state.epr.consume(teleports, wasted_attempts=extra)
-                state.apply_epoch(moves)
-                state.advance(base_cost)
-            elif nl:
-                local_epochs += 1
-                if sampled:
-                    trace.emit(
-                        "local-epoch", "move", state.clock,
-                        base_cost, "memory", local_moves=nl,
-                    )
-                state.apply_epoch(moves)
-                state.advance(base_cost)
-            if fault_config.region_failure_prob > 0:
-                for r, _, _ in active:
-                    if injector.region_goes_down(r):
-                        down = fault_config.region_downtime
-                        log.record(
-                            FaultEvent(
-                                "region_down",
-                                cycle=state.clock,
-                                timestep=t,
-                                region=r,
-                                detail=f"region {r} down for "
-                                f"{down} cycles",
-                            )
+                        trace.emit(
+                            "fault-stall", "stall", state.clock,
+                            down, f"region{r}",
                         )
-                        log.region_downtime_cycles += down
-                        if trace is not None:
-                            trace.emit(
-                                "region-down", "fault", state.clock,
-                                0, f"region{r}",
-                            )
-                            trace.emit(
-                                "fault-stall", "stall", state.clock,
-                                down, f"region{r}",
-                            )
-                        stalls.fault += down
-                        state.advance(down)
-            for r, gate, ops in active:
-                errors = injector.sample_gate_errors(ops)
-                log.expected_gate_errors += (
-                    fault_config.gate_error_rate * ops
+                    # Lock-step SIMD: a down region stalls the whole
+                    # machine, not just its own lane.
+                    stalls.fault += down
+                    state.advance(down)
+        # --- execute the timestep ---------------------------------------
+        for r, gate, ops in active:
+            errors = injector.sample_gate_errors(ops)
+            log.expected_gate_errors += fault_config.gate_error_rate * ops
+            if errors:
+                log.record(
+                    FaultEvent(
+                        "gate_error",
+                        cycle=state.clock,
+                        timestep=t,
+                        count=errors,
+                        region=r,
+                        detail=f"{errors}/{ops} {gate} gate(s) "
+                        "errored (corrected)",
+                    )
                 )
+            state.execute_region(r, ops, GATE_CYCLES)
+            if sampled:
+                args: Dict[str, Any] = {"ops": ops}
                 if errors:
-                    log.record(
-                        FaultEvent(
-                            "gate_error",
-                            cycle=state.clock,
-                            timestep=t,
-                            count=errors,
-                            region=r,
-                            detail=f"{errors}/{ops} {gate} gate(s) "
-                            "errored (corrected)",
-                        )
-                    )
-                state.execute_region(r, ops, GATE_CYCLES)
-                if sampled:
-                    args: Dict[str, Any] = {"ops": ops}
-                    if errors:
-                        args["errors"] = errors
-                    trace.emit(
-                        gate, "gate", state.clock, GATE_CYCLES,
-                        f"region{r}", **args,
-                    )
-            gate_cycles += GATE_CYCLES
-            state.advance(GATE_CYCLES)
+                    args["errors"] = errors
+                trace.emit(
+                    gate, "gate", state.clock, GATE_CYCLES,
+                    f"region{r}", **args,
+                )
+        gate_cycles += GATE_CYCLES
+        state.advance(GATE_CYCLES)
 
     realized = state.clock
     return EngineResult(
@@ -651,7 +532,7 @@ def run_schedule_stream(
         ops_executed=sum(state.ops_executed),
         trace=trace,
         fault_log=log,
-        preflight_violations=None,
+        preflight_violations=preflight_violations,
     )
 
 

@@ -33,10 +33,9 @@ from ..arch.machine import (
     epoch_cycles,
     split_epoch,
 )
-from ..arch.memory import MemoryMap
+from ..arch.memory import MemoryMap, loc_label
 from ..arch.teleport import EPRAccounting
 from ..core.qubits import Qubit
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Move, Schedule
 
@@ -75,12 +74,6 @@ def naive_runtime(op_count: int) -> int:
     return NAIVE_FACTOR * op_count
 
 
-def _loc_label(loc: tuple) -> str:
-    if loc[0] == "global":
-        return "global"
-    return f"{loc[0]}{loc[1]}"
-
-
 @spanned("comm:derive_movement")
 def derive_movement(
     sched: Schedule, machine: MultiSIMD
@@ -90,21 +83,17 @@ def derive_movement(
     Populates each timestep's ``moves`` list in place (idempotent: any
     existing moves are cleared) and returns the communication profile.
 
-    The fast path tracks the set of region-resident qubits incrementally
-    instead of rescanning the whole memory map every timestep (the
+    The set of region-resident qubits is tracked incrementally instead
+    of rescanning the whole memory map every timestep (the
     pre-optimization scan made movement derivation O(qubits x
     timesteps)); dead qubits are retired from the tracked set once their
     use list is exhausted. Eviction candidates are visited in each
     qubit's first-move order — the memory map's insertion order, which
     is what the reference scan iterates — so the scratchpad fill
-    decisions and the emitted ``Move`` sequence are bit-identical to
-    :func:`repro.sched._reference.derive_movement_reference`.
+    decisions and the emitted ``Move`` sequence are bit-identical to the
+    pre-optimization oracle kept with the tests
+    (``tests/_reference.py``).
     """
-    if not fast_path_enabled():
-        from ._reference import derive_movement_reference
-
-        return derive_movement_reference(sched, machine)
-
     for ts in sched.timesteps:
         ts.moves = []
 
@@ -233,7 +222,7 @@ def _bill_epoch(epoch: List[Move], stats: CommStats) -> None:
     if teleports:
         stats.teleport_epochs += 1
         stats.epr.record_epoch(
-            [(_loc_label(m.src), _loc_label(m.dst)) for m in teleports]
+            [(loc_label(m.src), loc_label(m.dst)) for m in teleports]
         )
     elif locals_:
         stats.local_epochs += 1

@@ -21,15 +21,14 @@ Paths are chains (each node a DAG successor of the previous), so only a
 path's *head* can ever be ready; heads stall until their off-path
 dependencies resolve.
 
-The fast path replaces the single ready deque (rescanned per free-list
-query) with :class:`_FreeList`: per-gate-type buckets plus an arrival
-FIFO, with lazy deletion and incremental per-gate counts, so
-most-common-gate is a counter read, oldest-gate amortizes to O(1), and
-extraction touches only the requested bucket. Nodes become ready exactly
-once, so lazily dropped stale entries never resurface. The
-pre-optimization implementation is
-:func:`repro.sched._reference.schedule_lpfs_reference`; both produce
-bit-identical schedules.
+The ready set is a :class:`_FreeList` rather than one deque rescanned
+per free-list query: per-gate-type buckets plus an arrival FIFO, with
+lazy deletion and incremental per-gate counts, so most-common-gate is a
+counter read, oldest-gate amortizes to O(1), and extraction touches
+only the requested bucket. Nodes become ready exactly once, so lazily
+dropped stale entries never resurface. The pre-optimization
+implementation is kept as a test oracle (``tests/_reference.py``); the
+differential battery checks that both produce bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set
 
 from ..core.dag import DependenceDAG
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Schedule
 
@@ -214,11 +212,6 @@ def schedule_lpfs(
     """
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    if not fast_path_enabled():
-        from ._reference import schedule_lpfs_reference
-
-        return schedule_lpfs_reference(dag, k, d, l, simd, refill)
-
     sched = Schedule(dag, k=k, d=d, algorithm="lpfs")
     statements = dag.statements
     succs_all = dag.succs

@@ -21,15 +21,14 @@ broken deterministically: smallest gate name first, then smallest
 region index (historically the tie went to whichever pair the scan
 encountered first, which depended on ready-list arrival order).
 
-The fast path keeps the ready set *bucketed by gate type* (arrival
-order preserved within each bucket), so type prevalence is an O(1)
-counter read and batch extraction pops one bucket instead of rescanning
-the whole ready deque; the (region, gate) selection enumerates each
-ready op's resident regions (at most its operand count) plus one
-zero-residency representative instead of every available region. The
-pre-optimization implementation is
-:func:`repro.sched._reference.schedule_rcp_reference`; both produce
-bit-identical schedules.
+The ready set is kept *bucketed by gate type* (arrival order preserved
+within each bucket), so type prevalence is an O(1) counter read and
+batch extraction pops one bucket instead of rescanning the whole ready
+deque; the (region, gate) selection enumerates each ready op's
+resident regions (at most its operand count) plus one zero-residency
+representative instead of every available region. The pre-optimization
+implementation is kept as a test oracle (``tests/_reference.py``); the
+differential battery checks that both produce bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.dag import DependenceDAG
 from ..core.qubits import Qubit
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Schedule
 
@@ -65,11 +63,6 @@ def schedule_rcp(
     weights: Optional[RCPWeights] = None,
 ) -> Schedule:
     """Schedule ``dag`` on a Multi-SIMD(k,d) machine with RCP."""
-    if not fast_path_enabled():
-        from ._reference import schedule_rcp_reference
-
-        return schedule_rcp_reference(dag, k, d, weights)
-
     w = weights or RCPWeights()
     sched = Schedule(dag, k=k, d=d, algorithm="rcp")
     statements = dag.statements

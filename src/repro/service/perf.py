@@ -1,7 +1,6 @@
 """The ``perf`` harness: pinned-grid pipeline benchmarking.
 
-The scheduler fast path (:mod:`repro.fastpath`) promises wall-clock
-improvements with bit-identical output. This module makes that claim
+This module makes the pipeline's wall-clock and memory cost
 *measurable and regression-guarded*:
 
 * a **pinned grid** — every benchmark x {rcp, lpfs} at one fixed
@@ -10,13 +9,13 @@ improvements with bit-identical output. This module makes that claim
 * per-stage **wall time** aggregated from the pipeline's
   :mod:`~repro.instrument` spans, and process **peak RSS** sampled per
   job via ``resource.getrusage`` (no third-party profiler);
-* the same grid measured on the **reference pipeline**
-  (:func:`repro.fastpath.reference_pipeline`), yielding an honest
-  fast-vs-reference speedup from one run on one machine;
-* a schema-versioned report (``repro.bench-perf/2`` —
+* a fixed pure-Python **calibration kernel** timed before every job
+  (:func:`calibration_kernel`), which measures the machine's speed
+  while the grid runs;
+* a schema-versioned report (``repro.bench-perf/3`` —
   ``BENCH_perf.json``) with a hand-rolled validator, mirroring the
   sweep report's conventions;
-* **scale jobs** (schema ``/2``): the synthetic paper-scale generators
+* **scale jobs**: the synthetic paper-scale generators
   (:mod:`repro.benchmarks.scale`) pushed through the streamed *and*
   materialized leaf pipelines in fresh subprocesses, so each job's
   ``ru_maxrss`` is its own high-water mark — yielding
@@ -25,9 +24,9 @@ improvements with bit-identical output. This module makes that claim
   ratio;
 * a **baseline comparison** for CI: because the committed baseline was
   measured on different hardware, stage times are first rescaled by the
-  ratio of the two *reference-pipeline* totals (the reference acts as a
-  built-in machine-speed probe), then any stage slower than the scaled
-  baseline by more than ``tolerance`` is flagged. Scale-job memory is
+  ratio of the two documents' calibration-kernel times (a machine-speed
+  probe), then any stage slower than the scaled baseline by more than
+  ``tolerance`` is flagged. Scale-job memory is
   gated the same way, rescaled by the ratio of the two documents'
   fresh-interpreter RSS (the memory analogue of the speed probe) and
   keyed by the full job label — which embeds the pipeline mode, so a
@@ -35,23 +34,24 @@ improvements with bit-identical output. This module makes that claim
   baseline or vice versa.
 
 Timings take the **minimum across repeats** (the minimum is the
-standard low-noise estimator for benchmark wall times); peak RSS takes
-the maximum.
+standard low-noise estimator for benchmark wall times) after each
+repeat is rescaled to one machine speed (see :func:`_aggregate`); peak
+RSS takes the maximum.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..fastpath import fast_path_enabled, reference_pipeline
 from .fingerprint import PIPELINE_VERSION
 from .sweep import JobSpec, SweepGrid, SweepRun, execute_job, run_sweep
 
 __all__ = [
     "PERF_SCHEMA",
-    "ACCEPTED_PERF_SCHEMAS",
     "STAGE_FLOOR_S",
+    "calibration_kernel",
     "perf_grid",
     "perf_worker",
     "run_perf",
@@ -63,12 +63,7 @@ __all__ = [
 ]
 
 #: Version tag of the ``BENCH_perf.json`` document layout.
-PERF_SCHEMA = "repro.bench-perf/2"
-
-#: Schemas :func:`validate_perf_payload` accepts. ``/1`` documents
-#: (no scale section, no pipeline labels) remain valid baselines; the
-#: scale memory gate simply has nothing to compare against them.
-ACCEPTED_PERF_SCHEMAS = (PERF_SCHEMA, "repro.bench-perf/1")
+PERF_SCHEMA = "repro.bench-perf/3"
 
 #: Baseline stages faster than this (after machine rescaling) are too
 #: noisy to gate on and are skipped by :func:`compare_perf_payloads`.
@@ -88,6 +83,39 @@ DEFAULT_SCALE_GATES = 200_000
 
 #: Default ingestion window for streamed scale jobs.
 DEFAULT_SCALE_WINDOW = 65536
+
+#: Calibration kernel size in loop steps. Its working set (~10 MiB of
+#: small objects) is what makes the kernel slow down with the cache and
+#: memory contention the pipeline feels; a kernel that fits in cache
+#: tracked the pipeline's speed changes far less on a shared host.
+CALIBRATION_STEPS = 100_000
+
+
+class _Point:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: tuple) -> None:
+        self.a = a
+        self.b = b
+
+
+def calibration_kernel() -> float:
+    """Seconds one run of a fixed pure-Python kernel takes right now.
+
+    The kernel does the kind of work the compiler does (small objects,
+    dict updates, a keyed sort) rather than bare arithmetic, so its time
+    tracks the interpreter's speed on the pipeline's own workload.
+    """
+    t0 = time.perf_counter()
+    counts: Dict[int, int] = {}
+    points = []
+    for i in range(CALIBRATION_STEPS):
+        key = (i * 7919) % 65521
+        counts[key] = counts.get(key, 0) + 1
+        points.append(_Point(i, (key, i)))
+    points.sort(key=lambda p: p.b)
+    sum(p.a for p in points if p.b[0] & 1)
+    return time.perf_counter() - t0
 
 
 def perf_grid() -> SweepGrid:
@@ -148,13 +176,16 @@ def perf_worker(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
 ) -> Dict[str, Any]:
-    """:func:`~repro.service.sweep.execute_job` plus a peak-RSS sample.
+    """:func:`~repro.service.sweep.execute_job` plus a peak-RSS sample
+    and a :func:`calibration_kernel` sample taken just before the job.
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so the sample
     is monotone across a serial run; the report keeps the maximum,
     which is exactly that watermark.
     """
+    calibration_s = calibration_kernel()
     outcome = execute_job(job, cache_dir, use_cache)
+    outcome["calibration_s"] = calibration_s
     outcome["peak_rss_kb"] = _peak_rss_kb()
     return outcome
 
@@ -372,23 +403,32 @@ def run_scale_perf(
 def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
     """Fold repeated runs of one grid into stage/total statistics.
 
-    Per-stage seconds and the compute total take the minimum across
-    repeats; call counts must agree across repeats (the pipeline is
-    deterministic) and peak RSS takes the maximum.
+    Each repeat's machine speed is the median of the calibration
+    samples taken during it; every repeat's timings are rescaled to the
+    fastest repeat's speed, which the result records as
+    ``calibration_s``. Per-stage seconds and the compute total then take
+    the minimum across repeats; call counts must agree across repeats
+    (the pipeline is deterministic) and peak RSS takes the maximum.
     """
+    speeds = [
+        statistics.median(o["calibration_s"] for o in run.outcomes)
+        for run in runs
+    ]
+    calibration_s = min(speeds)
+    factors = [calibration_s / speed for speed in speeds]
     totals: List[float] = []
     walls: List[float] = []
     stage_runs: List[Dict[str, Dict[str, float]]] = []
     peak_rss: Optional[int] = None
     failures: List[str] = []
-    for run in runs:
+    for run, factor in zip(runs, factors):
         total = 0.0
         stages: Dict[str, Dict[str, float]] = {}
         for outcome in run.outcomes:
             if outcome["status"] != "ok":
                 failures.append(outcome["label"])
                 continue
-            total += outcome["compute_s"]
+            total += outcome["compute_s"] * factor
             rss = outcome.get("peak_rss_kb")
             if rss is not None and (peak_rss is None or rss > peak_rss):
                 peak_rss = rss
@@ -397,7 +437,7 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
                 if agg is None:
                     agg = stages[name] = {"calls": 0, "seconds": 0.0}
                 agg["calls"] += stat["calls"]
-                agg["seconds"] += stat["seconds"]
+                agg["seconds"] += stat["seconds"] * factor
         totals.append(total)
         walls.append(run.wall_s)
         stage_runs.append(stages)
@@ -411,6 +451,7 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
         }
     return {
         "repeats": len(runs),
+        "calibration_s": calibration_s,
         "total_compute_s": min(totals) if totals else 0.0,
         "wall_s": min(walls) if walls else 0.0,
         "peak_rss_kb": peak_rss,
@@ -424,7 +465,8 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
                 "label": f"{outcome['label']}/materialized",
                 "pipeline": "materialized",
                 "compute_s": min(
-                    run.outcomes[i]["compute_s"] for run in runs
+                    run.outcomes[i]["compute_s"] * factor
+                    for run, factor in zip(runs, factors)
                 ),
                 "status": outcome["status"],
             }
@@ -435,7 +477,6 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
 
 def run_perf(
     repeats: int = 2,
-    include_reference: bool = True,
     jobs: Optional[Sequence[JobSpec]] = None,
     include_scale: bool = True,
     scale_jobs: Optional[Sequence[Dict[str, Any]]] = None,
@@ -444,9 +485,8 @@ def run_perf(
     """Measure the pinned grid and return the ``BENCH_perf`` payload.
 
     The grid runs serially and uncached (the point is to measure
-    compute, not the artifact store), ``repeats`` times on the fast
-    path and — unless ``include_reference`` is false — ``repeats``
-    times on the reference pipeline in the same process. Unless
+    compute, not the artifact store) ``repeats`` times, with a
+    :func:`calibration_kernel` sample before every job. Unless
     ``include_scale`` is false, the scale jobs then run once each in
     fresh subprocesses (:func:`run_scale_perf`) for the per-gate memory
     columns.
@@ -459,8 +499,13 @@ def run_perf(
     grid = perf_grid() if jobs is None else None
     job_list = list(jobs) if jobs is not None else grid.expand()
 
-    def _measure() -> List[SweepRun]:
-        return [
+    # Warm-up: one unmeasured job so first-touch costs (module imports,
+    # lazily built tables) do not land inside the first measured job's
+    # spans and inflate small stages like pass:decompose.
+    if job_list:
+        perf_worker(job_list[0], None, False)
+    fast = _aggregate(
+        [
             run_sweep(
                 job_list,
                 cache_dir=None,
@@ -470,28 +515,13 @@ def run_perf(
             )
             for _ in range(repeats)
         ]
-
-    if not fast_path_enabled():  # pragma: no cover - defensive
-        raise RuntimeError(
-            "run_perf must start on the fast path "
-            "(unset REPRO_FASTPATH=0)"
-        )
-    # Warm-up: one unmeasured job so first-touch costs (module imports,
-    # lazily built tables) do not land inside the first measured job's
-    # spans and inflate small stages like pass:decompose.
-    if job_list:
-        perf_worker(job_list[0], None, False)
-    fast = _aggregate(_measure())
-    reference = None
-    if include_reference:
-        with reference_pipeline():
-            reference = _aggregate(_measure())
+    )
     scale = None
     if include_scale:
         scale = run_scale_perf(
             jobs=scale_jobs, fresh_process=scale_fresh_process
         )
-    return build_perf_payload(grid, repeats, fast, reference, scale)
+    return build_perf_payload(grid, repeats, fast, scale)
 
 
 def _streamed_overhead(scale: Optional[Dict[str, Any]]) -> Optional[float]:
@@ -519,18 +549,9 @@ def build_perf_payload(
     grid: Optional[SweepGrid],
     repeats: int,
     fast: Dict[str, Any],
-    reference: Optional[Dict[str, Any]],
     scale: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the versioned ``BENCH_perf.json`` document."""
-    speedup = None
-    if (
-        reference is not None
-        and fast["total_compute_s"] > 0
-        and not fast["failed_jobs"]
-        and not reference["failed_jobs"]
-    ):
-        speedup = reference["total_compute_s"] / fast["total_compute_s"]
     return {
         "schema": PERF_SCHEMA,
         "pipeline_version": PIPELINE_VERSION,
@@ -538,8 +559,6 @@ def build_perf_payload(
         "grid": grid.to_dict() if grid is not None else None,
         "repeats": repeats,
         "fast": fast,
-        "reference": reference,
-        "speedup": speedup,
         "scale": scale,
         "streamed_overhead": _streamed_overhead(scale),
     }
@@ -569,6 +588,11 @@ def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
 
     def check_side(side: Dict[str, Any], where: str) -> None:
         need(side, "repeats", int, where)
+        calibration = need(side, "calibration_s", (int, float), where)
+        if calibration is not None and calibration <= 0:
+            problems.append(
+                f"{where}.calibration_s: expected a positive number"
+            )
         need(side, "total_compute_s", (int, float), where)
         need(side, "wall_s", (int, float), where)
         if "peak_rss_kb" not in side:
@@ -630,10 +654,9 @@ def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
     if not isinstance(payload, dict):
         return ["payload is not an object"]
     schema = payload.get("schema")
-    if schema not in ACCEPTED_PERF_SCHEMAS:
+    if schema != PERF_SCHEMA:
         problems.append(
-            f"schema: expected one of {ACCEPTED_PERF_SCHEMAS!r}, got "
-            f"{schema!r}"
+            f"schema: expected {PERF_SCHEMA!r}, got {schema!r}"
         )
     need(payload, "pipeline_version", str, "$")
     need(payload, "created_unix", (int, float), "$")
@@ -641,27 +664,13 @@ def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
     fast = need(payload, "fast", dict, "$")
     if fast is not None:
         check_side(fast, "fast")
-    if "reference" not in payload:
-        problems.append("$: missing key 'reference'")
-    elif payload["reference"] is not None:
-        if not isinstance(payload["reference"], dict):
-            problems.append("$.reference: expected dict or null")
+    if "scale" not in payload:
+        problems.append("$: missing key 'scale'")
+    elif payload["scale"] is not None:
+        if not isinstance(payload["scale"], dict):
+            problems.append("$.scale: expected dict or null")
         else:
-            check_side(payload["reference"], "reference")
-    if "speedup" not in payload:
-        problems.append("$: missing key 'speedup'")
-    elif payload["speedup"] is not None and not isinstance(
-        payload["speedup"], (int, float)
-    ):
-        problems.append("$.speedup: expected number or null")
-    if schema == PERF_SCHEMA:
-        if "scale" not in payload:
-            problems.append("$: missing key 'scale'")
-        elif payload["scale"] is not None:
-            if not isinstance(payload["scale"], dict):
-                problems.append("$.scale: expected dict or null")
-            else:
-                check_scale(payload["scale"], "scale")
+            check_scale(payload["scale"], "scale")
     return problems
 
 
@@ -675,17 +684,17 @@ def compare_perf_payloads(
     """Regression check of ``current`` against a committed ``baseline``.
 
     The two documents generally come from different machines, so raw
-    seconds are not comparable. Both documents carry a
-    reference-pipeline measurement of the same pinned grid; the ratio
-    of the two reference totals is a machine-speed scale, and baseline
-    stage times are rescaled by it before comparison. A stage regresses
-    when::
+    seconds are not comparable. Both documents carry the time of the
+    same fixed calibration kernel (``fast.calibration_s``, the speed
+    their stage times are expressed at); the ratio of the two is a
+    machine-speed scale, and baseline stage times are rescaled by it
+    before comparison. A stage regresses when::
 
         current_stage > baseline_stage * scale * (1 + tolerance)
 
     Stages below ``floor_s`` seconds (after rescaling) are skipped as
     noise. Returns human-readable regression descriptions (empty =
-    pass). Documents without reference measurements fall back to
+    pass). Documents without a calibration time fall back to
     ``scale = 1`` (same-machine comparison).
 
     Scale-job **memory** is gated analogously: baseline
@@ -696,20 +705,18 @@ def compare_perf_payloads(
     Labels embed the pipeline mode, so a streamed row only ever gates
     against a streamed baseline row — materialized memory (which grows
     without bound by design) can never mask or trip the streamed gate.
-    Jobs present on one side only are skipped, so ``/1`` baselines
-    simply don't exercise the memory gate.
+    Jobs present on one side only are skipped, so a baseline without a
+    scale section simply doesn't exercise the memory gate.
     """
     problems: List[str] = []
     cur_fast = current.get("fast") or {}
     base_fast = baseline.get("fast") or {}
-    cur_ref = current.get("reference") or {}
-    base_ref = baseline.get("reference") or {}
 
     scale = 1.0
-    cur_ref_total = cur_ref.get("total_compute_s") or 0.0
-    base_ref_total = base_ref.get("total_compute_s") or 0.0
-    if cur_ref_total > 0 and base_ref_total > 0:
-        scale = cur_ref_total / base_ref_total
+    cur_cal = cur_fast.get("calibration_s") or 0.0
+    base_cal = base_fast.get("calibration_s") or 0.0
+    if cur_cal > 0 and base_cal > 0:
+        scale = cur_cal / base_cal
 
     def regressed(name: str, cur_s: float, base_s: float) -> None:
         budget = base_s * scale
@@ -737,7 +744,7 @@ def compare_perf_payloads(
         base_fast.get("total_compute_s") or 0.0,
     )
 
-    # -- scale-job memory gate (schema /2 on both sides) ----------------
+    # -- scale-job memory gate ------------------------------------------
     cur_rows = {
         row["label"]: row
         for row in (current.get("scale") or {}).get("jobs", ())

@@ -30,7 +30,7 @@ from .arch.machine import (
     TELEPORT_CYCLES,
 )
 from .core.dag import DependenceDAG
-from .core.module import Program
+from .core.module import Module, Program
 from .instrument import span
 from .passes.decompose import (
     DecomposeConfig,
@@ -228,6 +228,37 @@ def _candidate_widths(k: int) -> List[int]:
     return widths
 
 
+def _coarse_profile(
+    mod: Module,
+    profile: ModuleProfile,
+    profiles: Dict[str, ModuleProfile],
+    widths: List[int],
+) -> None:
+    """Fill a non-leaf ``profile`` at every width by coarse-scheduling
+    ``mod`` over its callees' profiles, once per cost metric (the
+    schedule length, then the communication-aware runtime)."""
+    # Sorted for cross-process determinism: callees() is a set, and set
+    # iteration order varies with the hash seed.
+    callees = sorted(mod.callees())
+    lengths = coarse_length_profile(
+        mod,
+        {c: profiles[c].length for c in callees},
+        widths,
+        gate_cost=GATE_CYCLES,
+        call_overhead=0,
+    )
+    runtimes = coarse_length_profile(
+        mod,
+        {c: profiles[c].runtime for c in callees},
+        widths,
+        gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
+        call_overhead=TELEPORT_CYCLES,
+    )
+    for w in widths:
+        profile.length[w] = max(lengths[w], 1)
+        profile.runtime[w] = max(runtimes[w], 1)
+
+
 def compile_and_schedule(
     program: Program,
     machine: MultiSIMD,
@@ -350,26 +381,7 @@ def compile_and_schedule(
                             )
                         verified_names.append(name)
             else:
-                # Sorted for cross-process determinism: callees() is a
-                # set, and set iteration order varies with the hash
-                # seed.
-                callees = sorted(mod.callees())
-                length_dims = {c: profiles[c].length for c in callees}
-                runtime_dims = {c: profiles[c].runtime for c in callees}
-                lengths = coarse_length_profile(
-                    mod, length_dims, widths, gate_cost=GATE_CYCLES,
-                    call_overhead=0,
-                )
-                runtimes = coarse_length_profile(
-                    mod,
-                    runtime_dims,
-                    widths,
-                    gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
-                    call_overhead=TELEPORT_CYCLES,
-                )
-                for w in widths:
-                    profile.length[w] = max(lengths[w], 1)
-                    profile.runtime[w] = max(runtimes[w], 1)
+                _coarse_profile(mod, profile, profiles, widths)
             profiles[name] = profile
 
     if strict:
@@ -572,23 +584,7 @@ def compile_and_schedule_streamed(
             else:
                 profile = ModuleProfile(name, False)
                 dmod = decompose_module(mod, synth) if synth else mod
-                callees = sorted(dmod.callees())
-                length_dims = {c: profiles[c].length for c in callees}
-                runtime_dims = {c: profiles[c].runtime for c in callees}
-                lengths = coarse_length_profile(
-                    dmod, length_dims, width_list, gate_cost=GATE_CYCLES,
-                    call_overhead=0,
-                )
-                runtimes = coarse_length_profile(
-                    dmod,
-                    runtime_dims,
-                    width_list,
-                    gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
-                    call_overhead=TELEPORT_CYCLES,
-                )
-                for w in width_list:
-                    profile.length[w] = max(lengths[w], 1)
-                    profile.runtime[w] = max(runtimes[w], 1)
+                _coarse_profile(dmod, profile, profiles, width_list)
                 # Mirror of hierarchical_critical_path for one module:
                 # a call weighs iterations * CP(callee).
                 weights = [

@@ -1,14 +1,16 @@
-"""Differential battery: the fast path vs the reference pipeline.
+"""Differential battery: the package vs the reference oracle.
 
-The fast-path rewrites (:mod:`repro.core.dag`, :mod:`repro.sched.rcp`,
-:mod:`repro.sched.lpfs`, :mod:`repro.sched.comm`,
-:mod:`repro.sched.coarse`) promise **bit-identical** output to the
-pre-optimization implementations preserved in
-:mod:`repro.sched._reference`. This battery generates random programs
-with hypothesis and runs every scheduler through both pipelines
-(:func:`repro.fastpath.reference_pipeline` flips the dispatch), checking
+The optimized implementations (:mod:`repro.core.dag`,
+:mod:`repro.sched.rcp`, :mod:`repro.sched.lpfs`,
+:mod:`repro.sched.comm`, :mod:`repro.sched.coarse`) promise
+**bit-identical** output to the pre-optimization implementations kept
+as a test oracle in ``tests/_reference.py``. This battery generates
+random programs with hypothesis and runs every stage through both the
+package and the oracle (whose DAGs are built by the oracle's own edge
+construction), checking
 
-* byte-identical :func:`~repro.sched.report.schedule_to_dict` exports,
+* identical DAG edges and byte-identical
+  :func:`~repro.sched.report.schedule_to_dict` exports,
 * the Multi-SIMD execution invariants (dependence order, region count
   within ``k``, SIMD group width within ``d``, one gate type per group),
 * that the analytic runtime equals the engine's realized runtime under
@@ -35,7 +37,6 @@ from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
 from repro.engine import run_schedule
-from repro.fastpath import fast_path_enabled, reference_pipeline
 from repro.sched import (
     CoarseResult,
     coarse_length_profile,
@@ -45,6 +46,14 @@ from repro.sched import (
     schedule_rcp,
     schedule_sequential,
     schedule_to_dict,
+)
+
+from ._reference import (
+    dag_edges_reference,
+    derive_movement_reference,
+    schedule_coarse_reference,
+    schedule_lpfs_reference,
+    schedule_rcp_reference,
 )
 
 N_QUBITS = 8
@@ -80,24 +89,15 @@ ds = st.sampled_from([None, 1, 2, 4])
 ks = st.integers(min_value=1, max_value=4)
 
 
-def both_pipelines(fn: Callable[[], str]):
-    """Run ``fn`` once on the fast path and once on the reference
-    pipeline; the callable must rebuild everything (including DAGs)
-    from scratch so both dispatch points are exercised."""
-    assert fast_path_enabled()
-    fast = fn()
-    with reference_pipeline():
-        assert not fast_path_enabled()
-        ref = fn()
-    assert fast_path_enabled()
-    return fast, ref
-
-
-def schedule_bytes(ops: List[Operation], schedule) -> bytes:
+def oracle_dag(ops: List[Operation]) -> DependenceDAG:
+    """A DAG whose edges come from the oracle's construction."""
     dag = DependenceDAG(list(ops))
-    return json.dumps(
-        schedule_to_dict(schedule(dag)), sort_keys=True
-    ).encode()
+    dag.preds, dag.succs = dag_edges_reference(dag.statements)
+    return dag
+
+
+def schedule_bytes(sched) -> bytes:
+    return json.dumps(schedule_to_dict(sched), sort_keys=True).encode()
 
 
 def check_invariants(
@@ -126,21 +126,21 @@ def check_invariants(
 @settings(max_examples=25, deadline=None)
 @given(ops=leaf_bodies())
 def test_sequential_differential(ops):
-    fast, ref = both_pipelines(
-        lambda: schedule_bytes(ops, schedule_sequential)
+    dag, oracle = DependenceDAG(list(ops)), oracle_dag(ops)
+    assert (dag.preds, dag.succs) == (oracle.preds, oracle.succs)
+    assert schedule_bytes(schedule_sequential(dag)) == schedule_bytes(
+        schedule_sequential(oracle)
     )
-    assert fast == ref
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=leaf_bodies(), k=ks, d=ds)
 def test_rcp_differential(ops, k, d):
-    fast, ref = both_pipelines(
-        lambda: schedule_bytes(ops, lambda dag: schedule_rcp(dag, k, d))
-    )
-    assert fast == ref
     dag = DependenceDAG(list(ops))
-    check_invariants(schedule_rcp(dag, k, d), dag, k, d)
+    sched = schedule_rcp(dag, k, d)
+    ref = schedule_rcp_reference(oracle_dag(ops), k, d)
+    assert schedule_bytes(sched) == schedule_bytes(ref)
+    check_invariants(sched, dag, k, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,16 +154,13 @@ def test_rcp_differential(ops, k, d):
 )
 def test_lpfs_differential(ops, k, d, l_frac, simd, refill):
     n_paths = 1 + int(l_frac * (k - 1))
-    fast, ref = both_pipelines(
-        lambda: schedule_bytes(
-            ops, lambda dag: schedule_lpfs(dag, k, d, n_paths, simd, refill)
-        )
-    )
-    assert fast == ref
     dag = DependenceDAG(list(ops))
-    check_invariants(
-        schedule_lpfs(dag, k, d, n_paths, simd, refill), dag, k, d
+    sched = schedule_lpfs(dag, k, d, n_paths, simd, refill)
+    ref = schedule_lpfs_reference(
+        oracle_dag(ops), k, d, n_paths, simd, refill
     )
+    assert schedule_bytes(sched) == schedule_bytes(ref)
+    check_invariants(sched, dag, k, d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,11 +176,9 @@ def test_movement_differential(ops, k, d, algorithm, local):
     including the order of eviction ``Move`` records within an epoch."""
     machine = MultiSIMD(k=k, d=d, local_memory=local)
 
-    def run() -> str:
-        dag = DependenceDAG(list(ops))
-        schedule = schedule_rcp if algorithm == "rcp" else schedule_lpfs
+    def run(schedule: Callable, derive: Callable, dag) -> str:
         sched = schedule(dag, k, d)
-        stats = derive_movement(sched, machine)
+        stats = derive(sched, machine)
         return json.dumps(
             {
                 "schedule": schedule_to_dict(sched),
@@ -197,8 +192,13 @@ def test_movement_differential(ops, k, d, algorithm, local):
             sort_keys=True,
         )
 
-    fast, ref = both_pipelines(run)
-    assert fast == ref
+    if algorithm == "rcp":
+        schedule, oracle = schedule_rcp, schedule_rcp_reference
+    else:
+        schedule, oracle = schedule_lpfs, schedule_lpfs_reference
+    assert run(schedule, derive_movement, DependenceDAG(list(ops))) == run(
+        oracle, derive_movement_reference, oracle_dag(ops)
+    )
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,19 +272,24 @@ def test_coarse_differential(case):
     module, dims, k, gate_cost, call_overhead = case
     callee_dims = {"leaf": dims}
     widths = list(range(1, k + 1))
+    dag = DependenceDAG(module.body)
+    assert (dag.preds, dag.succs) == dag_edges_reference(module.body)
 
-    def run():
-        result = schedule_coarse(
-            module, callee_dims, k, gate_cost, call_overhead
-        )
-        profile = coarse_length_profile(
-            module, callee_dims, widths, gate_cost, call_overhead
-        )
-        return result, profile
-
-    (fast_res, fast_prof), (ref_res, ref_prof) = both_pipelines(run)
-    assert isinstance(fast_res, CoarseResult)
-    assert fast_res == ref_res
-    assert fast_prof == ref_prof
+    result = schedule_coarse(
+        module, callee_dims, k, gate_cost, call_overhead
+    )
+    profile = coarse_length_profile(
+        module, callee_dims, widths, gate_cost, call_overhead
+    )
+    assert isinstance(result, CoarseResult)
+    assert result == schedule_coarse_reference(
+        module, callee_dims, k, gate_cost, call_overhead
+    )
+    assert profile == {
+        w: schedule_coarse_reference(
+            module, callee_dims, w, gate_cost, call_overhead
+        ).total_length
+        for w in widths
+    }
     # The profile at k agrees with the full placement at k.
-    assert fast_prof[k] == fast_res.total_length
+    assert profile[k] == result.total_length

@@ -22,10 +22,11 @@ from repro.service.perf import STAGE_FLOOR_S, _aggregate
 
 
 def _outcome(label="BF|rcp", status="ok", compute_s=1.0, spans=None,
-             rss=2048):
+             rss=2048, calibration_s=0.01):
     return {
         "label": label,
         "status": status,
+        "calibration_s": calibration_s,
         "compute_s": compute_s,
         "spans": spans
         if spans is not None
@@ -65,6 +66,19 @@ class TestAggregate:
         assert agg["failed_jobs"] == []
         assert agg["per_job"][0]["compute_s"] == 1.5
 
+    def test_repeats_rescaled_to_fastest_calibration(self):
+        # The second repeat ran on a machine twice as slow (kernel 2x):
+        # its 3.0 s count as 1.5 s at the first repeat's speed.
+        runs = [
+            _run([_outcome(compute_s=2.0, calibration_s=0.01)], wall=2.5),
+            _run([_outcome(compute_s=3.0, calibration_s=0.02)], wall=3.5),
+        ]
+        agg = _aggregate(runs)
+        assert agg["calibration_s"] == 0.01
+        assert agg["total_compute_s"] == 1.5
+        assert agg["stages"]["schedule:rcp"]["seconds"] == 1.5
+        assert agg["per_job"][0]["compute_s"] == 1.5
+
     def test_failed_jobs_recorded_and_excluded(self):
         runs = [
             _run(
@@ -83,34 +97,24 @@ class TestPayload:
     def _fast(self):
         return _aggregate([_run([_outcome(compute_s=1.0)])])
 
-    def _ref(self):
-        return _aggregate([_run([_outcome(compute_s=2.0)])])
-
     def test_build_and_validate_round_trip(self):
-        payload = build_perf_payload(perf_grid(), 1, self._fast(),
-                                     self._ref())
+        payload = build_perf_payload(perf_grid(), 1, self._fast())
         assert payload["schema"] == PERF_SCHEMA
-        assert payload["speedup"] == pytest.approx(2.0)
+        assert payload["fast"]["calibration_s"] == 0.01
         assert validate_perf_payload(payload) == []
         # JSON round-trip stays valid (what CI reads back from disk).
         assert validate_perf_payload(json.loads(json.dumps(payload))) == []
 
-    def test_no_reference_means_no_speedup(self):
-        payload = build_perf_payload(None, 1, self._fast(), None)
-        assert payload["speedup"] is None
-        assert validate_perf_payload(payload) == []
-
-    def test_failed_jobs_suppress_speedup(self):
-        fast = self._fast()
-        fast["failed_jobs"] = ["BF|rcp"]
-        payload = build_perf_payload(None, 1, fast, self._ref())
-        assert payload["speedup"] is None
-
     def test_validator_flags_corruption(self):
-        payload = build_perf_payload(None, 1, self._fast(), self._ref())
+        payload = build_perf_payload(None, 1, self._fast())
         for mutate, fragment in [
             (lambda d: d.update(schema="bogus/9"), "schema"),
-            (lambda d: d.pop("speedup"), "speedup"),
+            (lambda d: d.update(schema="repro.bench-perf/2"), "schema"),
+            (lambda d: d["fast"].pop("calibration_s"), "calibration_s"),
+            (
+                lambda d: d["fast"].update(calibration_s=0.0),
+                "calibration_s",
+            ),
             (lambda d: d["fast"].pop("stages"), "stages"),
             (
                 lambda d: d["fast"]["stages"].update(x={"calls": "one"}),
@@ -130,23 +134,18 @@ class TestPayload:
 
 
 class TestCompare:
-    def _doc(self, stage_s, total_s, ref_total=None):
-        doc = {
+    def _doc(self, stage_s, total_s, calibration_s=None):
+        return {
             "fast": {
+                "calibration_s": calibration_s,
                 "stages": {"schedule:rcp": {"calls": 1,
                                             "seconds": stage_s}},
                 "total_compute_s": total_s,
             },
-            "reference": (
-                {"total_compute_s": ref_total}
-                if ref_total is not None
-                else None
-            ),
         }
-        return doc
 
     def test_identical_documents_pass(self):
-        doc = self._doc(1.0, 1.0, ref_total=2.0)
+        doc = self._doc(1.0, 1.0, calibration_s=0.01)
         assert compare_perf_payloads(doc, doc) == []
 
     def test_stage_regression_flagged(self):
@@ -174,14 +173,24 @@ class TestCompare:
         cur = self._doc(STAGE_FLOOR_S * 10, STAGE_FLOOR_S / 2)
         assert compare_perf_payloads(cur, base) == []
 
-    def test_machine_scale_from_reference_totals(self):
-        # Current machine is 2x slower (reference total doubled): a 1.9x
-        # stage slowdown is within the rescaled budget, a 3x is not.
-        base = self._doc(1.0, 1.0, ref_total=10.0)
-        ok = self._doc(1.9, 1.9, ref_total=20.0)
-        bad = self._doc(3.0, 3.0, ref_total=20.0)
+    def test_machine_scale_from_calibration(self):
+        # Current machine is 2x slower (calibration kernel time doubled):
+        # a 1.9x stage slowdown is within the rescaled budget, a 3x is
+        # not.
+        base = self._doc(1.0, 1.0, calibration_s=0.010)
+        ok = self._doc(1.9, 1.9, calibration_s=0.020)
+        bad = self._doc(3.0, 3.0, calibration_s=0.020)
         assert compare_perf_payloads(ok, base) == []
         assert len(compare_perf_payloads(bad, base)) == 2
+
+    def test_missing_calibration_means_no_rescale(self):
+        # Without a calibration time on both sides the budgets stay the
+        # same-machine ones: the 1.9x slowdown the rescale above allows
+        # is flagged here.
+        base = self._doc(1.0, 1.0, calibration_s=0.010)
+        cur = self._doc(1.9, 1.9)
+        assert len(compare_perf_payloads(cur, base)) == 2
+        assert len(compare_perf_payloads(base, cur)) == 0
 
     def test_stage_missing_from_current_is_not_a_regression(self):
         base = self._doc(1.0, 1.0)
@@ -196,9 +205,8 @@ class TestRunPerf:
             run_perf(repeats=0)
 
     def test_tiny_real_run(self):
-        # One real (small) job through the measurement loop, both
-        # pipelines plus a tiny in-process scale section, to cover the
-        # wiring end to end.
+        # One real (small) job through the measurement loop plus a tiny
+        # in-process scale section, to cover the wiring end to end.
         from repro.service import scale_perf_jobs
 
         jobs = [JobSpec("BF", "rcp", k=2)]
@@ -213,8 +221,7 @@ class TestRunPerf:
         assert validate_perf_payload(payload) == []
         assert payload["grid"] is None
         assert payload["fast"]["failed_jobs"] == []
-        assert payload["reference"]["failed_jobs"] == []
-        assert payload["speedup"] is not None
+        assert payload["fast"]["calibration_s"] > 0
         assert payload["fast"]["stages"], "no spans recorded"
         assert payload["fast"]["per_job"][0]["label"].startswith("BF")
         rows = payload["scale"]["jobs"]
@@ -223,10 +230,7 @@ class TestRunPerf:
 
     def test_no_scale_section(self):
         jobs = [JobSpec("BF", "rcp", k=2)]
-        payload = run_perf(
-            repeats=1, jobs=jobs, include_reference=False,
-            include_scale=False,
-        )
+        payload = run_perf(repeats=1, jobs=jobs, include_scale=False)
         assert payload["scale"] is None
         assert payload["streamed_overhead"] is None
         assert validate_perf_payload(payload) == []
@@ -255,6 +259,19 @@ class TestPerfCLI:
         assert main(["perf", "--baseline", str(bad)]) == 2
         assert "not a valid perf document" in capsys.readouterr().err
 
+    def test_failed_jobs_exit_1(self, monkeypatch, capsys):
+        fast = _aggregate(
+            [_run([_outcome(label="BF|rcp", status="error")])]
+        )
+        payload = build_perf_payload(None, 1, fast)
+        monkeypatch.setattr(
+            "repro.service.run_perf", lambda **kwargs: payload
+        )
+        assert main(["perf", "-o", ""]) == 1
+        out, err = capsys.readouterr()
+        assert "calibration kernel: 10.00 ms" in out
+        assert "1 job(s) failed: BF|rcp" in err
+
 def _scale_row(label, pipeline, mem=1000.0, interp=20000, status="ok"):
     return {
         "label": label,
@@ -280,7 +297,7 @@ class TestScaleValidator:
     def _payload(self, rows):
         fast = _aggregate([_run([_outcome(compute_s=1.0)])])
         return build_perf_payload(
-            None, 1, fast, None, scale=_scale_section(rows)
+            None, 1, fast, scale=_scale_section(rows)
         )
 
     def test_valid_scale_section(self):
@@ -292,17 +309,9 @@ class TestScaleValidator:
         assert payload["schema"] == PERF_SCHEMA
         assert validate_perf_payload(payload) == []
 
-    def test_schema_v1_accepted_without_scale(self):
-        fast = _aggregate([_run([_outcome(compute_s=1.0)])])
-        payload = build_perf_payload(None, 1, fast, None)
-        payload["schema"] = "repro.bench-perf/1"
-        del payload["scale"]
-        del payload["streamed_overhead"]
-        assert validate_perf_payload(payload) == []
-
     def test_v2_requires_scale_key(self):
         fast = _aggregate([_run([_outcome(compute_s=1.0)])])
-        payload = build_perf_payload(None, 1, fast, None)
+        payload = build_perf_payload(None, 1, fast)
         del payload["scale"]
         problems = validate_perf_payload(payload)
         assert any("'scale'" in p for p in problems)
@@ -333,7 +342,6 @@ class TestMemoryGate:
     def _doc(self, rows):
         return {
             "fast": {"stages": {}, "total_compute_s": 0.0},
-            "reference": None,
             "scale": _scale_section(rows),
         }
 
@@ -400,10 +408,7 @@ class TestMemoryGate:
             [_scale_row("scale:adder@1000/streamed[w=8]", "streamed",
                         mem=9999.0)]
         )
-        v1_base = {
-            "fast": {"stages": {}, "total_compute_s": 0.0},
-            "reference": None,
-        }
+        v1_base = {"fast": {"stages": {}, "total_compute_s": 0.0}}
         assert compare_perf_payloads(cur, v1_base) == []
 
     def test_error_rows_skipped(self):

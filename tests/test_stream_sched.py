@@ -28,7 +28,7 @@ from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.opstream import ListStream
 from repro.core.qubits import Qubit
-from repro.engine import run_schedule
+from repro.engine import EngineConfig, FaultConfig, run_schedule
 from repro.engine.executor import run_schedule_stream
 from repro.sched import derive_movement
 from repro.sched.comm import CommStats
@@ -235,21 +235,40 @@ def test_streamed_matches_materialized_random(ops, k, d, algorithm):
     assert _comm_to_dict(stats) == _comm_to_dict(mat_comm)
 
 
-@settings(max_examples=25, deadline=None)
-@given(ops=leaf_bodies(), k=ks, algorithm=algorithms)
-def test_engine_epochs_realize_identically(ops, k, algorithm):
+FAULTS = FaultConfig(
+    epr_failure_prob=0.3,
+    region_failure_prob=0.2,
+    region_downtime=3,
+    gate_error_rate=0.1,
+)
+engine_configs = st.sampled_from(
+    [
+        EngineConfig(),
+        EngineConfig(epr_rate=0.25),
+        EngineConfig(faults=FAULTS, seed=7),
+        EngineConfig(epr_rate=0.5, faults=FAULTS, seed=11),
+    ]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=leaf_bodies(), k=ks, algorithm=algorithms, config=engine_configs)
+def test_engine_epochs_realize_identically(ops, k, algorithm, config):
     """The engine over streamed epoch tuples matches the engine over
-    the materialized schedule under the ideal config."""
+    the materialized schedule — ideal, finite EPR rate and seeded
+    faults alike, with traces collected."""
+    assert config.collect_trace
     machine = MultiSIMD(k=k, d=None)
     dag = DependenceDAG(list(ops))
     mat_sched = SchedulerConfig(algorithm).schedule(dag, k, None)
     derive_movement(mat_sched, machine)
-    mat = run_schedule(mat_sched, machine, scope="leaf")
+    mat = run_schedule(mat_sched, machine, config=config, scope="leaf")
 
     cols = build_columns(ListStream(ops), window=3)
     ssched = schedule_columns(cols, algorithm, k, None)
     res = run_schedule_stream(
-        engine_epochs(cols, ssched, machine), k, machine, scope="leaf"
+        engine_epochs(cols, ssched, machine), k, machine, config=config,
+        scope="leaf",
     )
     assert res.realized_runtime == mat.realized_runtime
     assert res.analytic_runtime == mat.analytic_runtime
@@ -261,6 +280,10 @@ def test_engine_epochs_realize_identically(ops, k, algorithm):
     assert res.epr_pairs == mat.epr_pairs
     assert res.channel_pairs == mat.channel_pairs
     assert res.ops_executed == mat.ops_executed
+    assert res.fault_log.to_dict() == mat.fault_log.to_dict()
+    assert [e.to_dict() for e in res.trace.events] == [
+        e.to_dict() for e in mat.trace.events
+    ]
 
 
 def test_critical_path_and_release_graph():
