@@ -29,6 +29,7 @@ __all__ = [
     "TELEPORT_CYCLES",
     "LOCAL_MOVE_CYCLES",
     "NAIVE_FACTOR",
+    "MAX_REGIONS",
     "parse_capacity",
     "capacity_label",
     "split_epoch",
@@ -44,6 +45,8 @@ TELEPORT_CYCLES = 4
 LOCAL_MOVE_CYCLES = 1
 #: Naive model: every gate cycle pays a teleport epoch (1 + 4 = 5x).
 NAIVE_FACTOR = GATE_CYCLES + TELEPORT_CYCLES
+#: Exclusive bound on ``k``: schedules store region ids in 16 bits.
+MAX_REGIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class MultiSIMD:
     local_memory: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 1 <= self.k < MAX_REGIONS:
+            raise ValueError(f"k must be in 1..{MAX_REGIONS - 1}, got {self.k}")
         if self.d is not None and self.d < 1:
             raise ValueError(f"d must be >= 1 or None, got {self.d}")
         if self.local_memory is not None and self.local_memory < 0:

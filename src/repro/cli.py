@@ -104,6 +104,16 @@ def _is_scaffold_path(source: str) -> bool:
     return source.endswith((".scaffold", ".scd"))
 
 
+def _machine(
+    args: argparse.Namespace, local_memory: Optional[float] = None
+) -> MultiSIMD:
+    """The ``-k``/``-d`` machine; a bad size is a usage error."""
+    try:
+        return MultiSIMD(k=args.k, d=args.d, local_memory=local_memory)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+
+
 #: Default gate count for ``scale:`` sources without an explicit size.
 _SCALE_DEFAULT_GATES = 1_000_000
 
@@ -246,11 +256,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     fth = args.fth
     if fth is None:
         fth = _default_fth(args.source)
-    machine = MultiSIMD(
-        k=args.k,
-        d=args.d,
-        local_memory=_parse_capacity(args.local_mem),
-    )
+    machine = _machine(args, _parse_capacity(args.local_mem))
     if args.stream or args.window is not None or args.export_stream:
         return _compile_streamed(args, prog, machine, fth)
     result = compile_and_schedule(
@@ -596,6 +602,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     window = None if args.window == 0 else (args.window or DEFAULT_WINDOW)
     scheduler = SchedulerConfig(args.scheduler)
+    machine = _machine(args)
 
     def report_line(report) -> bool:
         print(report.summary())
@@ -667,7 +674,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     return EXIT_SCHEDULE
 
         fth = args.fth if args.fth is not None else _default_fth(args.source)
-        machine = MultiSIMD(k=args.k, d=args.d)
         result = compile_and_schedule_streamed(
             prog,
             machine,
@@ -753,7 +759,7 @@ def _verify_spec_schedule(
     stream through the windowed columnar scheduler and replay it."""
     from .core.opstream import GeneratorStream
     from .passes.stream import leaf_stream
-    from .sched.stream import build_columns, schedule_columns
+    from .sched.stream import build_columns
     from .sim.reversible import streamed_schedule_ops, verify_equivalent
 
     kernel_ops = list(leaf_stream(prog, binding.module, decompose=False))
@@ -765,15 +771,7 @@ def _verify_spec_schedule(
         length_hint=len(kernel_ops) * iterations,
     )
     cols = build_columns(stream, window=window)
-    ssched = schedule_columns(
-        cols,
-        scheduler.algorithm,
-        args.k,
-        args.d,
-        lpfs_l=scheduler.lpfs_l,
-        lpfs_simd=scheduler.lpfs_simd,
-        lpfs_refill=scheduler.lpfs_refill,
-    )
+    ssched = scheduler.schedule_columns(cols, args.k, args.d)
     report = verify_equivalent(
         iter(stream),
         streamed_schedule_ops(cols, ssched),
@@ -819,7 +817,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         from .analysis import SummaryCache
         from .service import CompileService, default_cache_dir
 
-        machine = MultiSIMD(k=args.k, d=args.d)
+        machine = _machine(args)
         if args.topology is not None:
             graph = _multicore_graph(args)
         cache_dir = (
@@ -1204,11 +1202,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
             f"--sample-every must be >= 1, got {args.sample_every}"
         )
     config = _engine_config(args)
-    machine = MultiSIMD(
-        k=args.k,
-        d=args.d,
-        local_memory=_parse_capacity(args.local_mem),
-    )
+    machine = _machine(args, _parse_capacity(args.local_mem))
     try:
         header, result, comm = execute_schedule_stream(
             args.stream,
@@ -1333,11 +1327,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     fth = args.fth
     if fth is None:
         fth = _default_fth(args.source)
-    machine = MultiSIMD(
-        k=args.k,
-        d=args.d,
-        local_memory=_parse_capacity(args.local_mem),
-    )
+    machine = _machine(args, _parse_capacity(args.local_mem))
     if args.topology is not None:
         return _execute_multicore(args, config, prog, machine, fth)
     result = compile_and_schedule(
@@ -1564,7 +1554,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             else 4096
         )
     graph = _multicore_graph(args)
-    machine = MultiSIMD(k=args.k, d=args.d)
+    machine = _machine(args)
     config = MulticoreConfig(
         graph, seed=args.seed, refine=not args.no_refine
     )

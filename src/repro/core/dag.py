@@ -11,8 +11,8 @@ The DAG also provides the longest-path machinery used by LPFS
 sink) are static under scheduler consumption — removing already-scheduled
 nodes never changes the height of an unscheduled node, because all
 descendants of an unscheduled node are themselves unscheduled. LPFS'
-``getNextLongestPath`` exploits this by greedily following maximum-height
-successors.
+``getNextLongestPath`` (:mod:`repro.sched.lpfs`) exploits this by
+greedily following maximum-height successors.
 
 Construction is a single O(V+E) pass over the statement list with a
 per-qubit last-writer map; the heights/depths/slack analyses are
@@ -25,7 +25,7 @@ produce identical ``preds``/``succs`` arrays.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .operation import Operation, Statement
 from .qubits import Qubit
@@ -184,30 +184,6 @@ class DependenceDAG:
             path.append(node)
         path.reverse()
         return path
-
-    def longest_path_from(self, start: int) -> List[int]:
-        """The longest downward path beginning at ``start``, following
-        maximum-height successors (ties broken by program order)."""
-        heights = self.heights()
-        path = [start]
-        node = start
-        while self.succs[node]:
-            node = max(
-                self.succs[node], key=lambda s: (heights[s], -s)
-            )
-            path.append(node)
-        return path
-
-    def next_longest_path(self, ready: Iterable[int]) -> List[int]:
-        """LPFS' ``getNextLongestPath``: among the ``ready`` nodes, pick
-        the one heading the longest remaining chain and return that
-        chain. Returns ``[]`` if ``ready`` is empty."""
-        ready = list(ready)
-        if not ready:
-            return []
-        heights = self.heights()
-        start = max(ready, key=lambda i: (heights[i], -i))
-        return self.longest_path_from(start)
 
     # -- misc -------------------------------------------------------------
 

@@ -19,12 +19,21 @@ model:
 The *naive movement model* — the baseline of Figures 7 and 8 — instead
 charges a teleport epoch around every sequential gate: runtime = 5x the
 gate count.
+
+:func:`iter_schedule_epochs` is the one implementation of the epoch
+loop. It runs over :class:`~repro.sched.columns.StreamColumns` and a
+:class:`~repro.sched.columns.StreamedSchedule`, for both compile
+pipelines and the streamed engine; :func:`derive_movement_stream`
+drains it, and :func:`derive_movement` adapts a boxed
+:class:`~repro.sched.types.Schedule`, storing each epoch in its
+timestep's ``moves``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..arch.machine import (
     GATE_CYCLES,
@@ -35,11 +44,17 @@ from ..arch.machine import (
 )
 from ..arch.memory import MemoryMap, loc_label
 from ..arch.teleport import EPRAccounting
-from ..core.qubits import Qubit
 from ..instrument import spanned
+from .columns import StreamColumns, StreamedSchedule
 from .types import Move, Schedule
 
-__all__ = ["CommStats", "derive_movement", "naive_runtime"]
+__all__ = [
+    "CommStats",
+    "derive_movement",
+    "derive_movement_stream",
+    "iter_schedule_epochs",
+    "naive_runtime",
+]
 
 
 @dataclass
@@ -55,12 +70,12 @@ class CommStats:
         epr: per-channel EPR-pair consumption.
     """
 
-    gate_cycles: int
-    comm_cycles: int
-    teleports: int
-    local_moves: int
-    teleport_epochs: int
-    local_epochs: int
+    gate_cycles: int = 0
+    comm_cycles: int = 0
+    teleports: int = 0
+    local_moves: int = 0
+    teleport_epochs: int = 0
+    local_epochs: int = 0
     epr: EPRAccounting = field(default_factory=EPRAccounting)
 
     @property
@@ -74,14 +89,30 @@ def naive_runtime(op_count: int) -> int:
     return NAIVE_FACTOR * op_count
 
 
-@spanned("comm:derive_movement")
 def derive_movement(
     sched: Schedule, machine: MultiSIMD
 ) -> CommStats:
     """Derive the movement epochs for ``sched`` on ``machine``.
 
     Populates each timestep's ``moves`` list in place (idempotent: any
-    existing moves are cleared) and returns the communication profile.
+    existing moves are replaced) and returns the communication profile.
+    """
+    return derive_movement_stream(
+        StreamColumns.from_dag(sched.dag),
+        StreamedSchedule.from_schedule(sched),
+        machine,
+        sink=sched.store_epoch,
+    )
+
+
+def iter_schedule_epochs(
+    cols: StreamColumns,
+    ssched: StreamedSchedule,
+    machine: MultiSIMD,
+    stats: CommStats,
+) -> Iterator[Tuple[int, List[Move], List[Tuple[int, List[int]]]]]:
+    """Derive movement epoch-at-a-time, yielding ``(t, moves,
+    regions)`` per timestep and billing each epoch into ``stats``.
 
     The set of region-resident qubits is tracked incrementally instead
     of rescanning the whole memory map every timestep (the
@@ -92,108 +123,94 @@ def derive_movement(
     is what the reference scan iterates — so the scratchpad fill
     decisions and the emitted ``Move`` sequence are bit-identical to the
     pre-optimization oracle kept with the tests
-    (``tests/_reference.py``).
+    (``tests/_reference.py``). Peak memory is the per-qubit use lists
+    (one packed int per operand slot), never the epochs themselves.
     """
-    for ts in sched.timesteps:
-        ts.moves = []
+    op_q, op_off = cols.op_q, cols.op_off
+    qubit_objs = cols.qubits
+    n_ts = ssched.length
+    stats.gate_cycles += n_ts * GATE_CYCLES
+    # Per-qubit ordered use list: packed (timestep << 16) | region.
+    uses: List[array] = [array("q") for _ in range(len(qubit_objs))]
+    for t in range(n_ts):
+        for j in range(ssched.ts_off[t], ssched.ts_off[t + 1]):
+            packed = (t << 16) | ssched.flat_regions[j]
+            node = ssched.flat_nodes[j]
+            for qid in op_q[op_off[node] : op_off[node + 1]]:
+                uses[qid].append(packed)
+    next_use_idx = array("i", bytes(4 * len(qubit_objs)))
 
-    statements = sched.dag.statements
-    timesteps = sched.timesteps
-    # Per-qubit ordered use list: (timestep, region).
-    uses: Dict[Qubit, List[Tuple[int, int]]] = {}
-    for t, ts in enumerate(timesteps):
-        for r, nodes in enumerate(ts.regions):
-            for n in nodes:
-                for q in statements[n].qubits:
-                    ulist = uses.get(q)
-                    if ulist is None:
-                        ulist = uses[q] = []
-                    ulist.append((t, r))
-    next_use_idx: Dict[Qubit, int] = {q: 0 for q in uses}
-
-    mm = MemoryMap(k=sched.k, local_capacity=machine.local_memory)
-    stats = CommStats(
-        gate_cycles=sched.length * GATE_CYCLES,
-        comm_cycles=0,
-        teleports=0,
-        local_moves=0,
-        teleport_epochs=0,
-        local_epochs=0,
-    )
+    mm = MemoryMap(k=ssched.k, local_capacity=machine.local_memory)
     pending_evictions: List[Move] = []
     # Qubits currently sitting in a SIMD region, plus each qubit's
     # first-move serial (== its position in mm.locations' insertion
     # order, which the reference eviction scan iterates).
-    resident: Dict[Qubit, int] = {}
-    serial: Dict[Qubit, int] = {}
-    n_ts = len(timesteps)
+    resident: Dict[int, int] = {}
+    serial: Dict[int, int] = {}
 
-    for t, ts in enumerate(timesteps):
+    next_regions = ssched.regions_at(0) if n_ts else []
+    for t in range(n_ts):
+        cur_regions = next_regions
         epoch: List[Move] = pending_evictions
         pending_evictions = []
         # --- fetch operands into their regions -------------------------
-        for r, nodes in enumerate(ts.regions):
+        for r, nodes in cur_regions:
             target = ("region", r)
-            for n in nodes:
-                for q in statements[n].qubits:
+            for node in nodes:
+                for qid in op_q[op_off[node] : op_off[node + 1]]:
+                    q = qubit_objs[qid]
                     src = mm.location(q)
                     if src == target:
                         continue
-                    kind = (
-                        "local"
-                        if src == ("local", r)
-                        else "teleport"
-                    )
+                    kind = "local" if src == ("local", r) else "teleport"
                     epoch.append(Move(q, src, target, kind))
                     mm.move(q, target)
-                    resident[q] = r
-                    if q not in serial:
-                        serial[q] = len(serial)
-                # Advance the qubit-use cursors past this timestep.
-            for n in nodes:
-                for q in statements[n].qubits:
-                    ulist = uses[q]
-                    i = next_use_idx[q]
-                    while i < len(ulist) and ulist[i][0] <= t:
-                        i += 1
-                    next_use_idx[q] = i
-        ts.moves = epoch
+                    resident[qid] = r
+                    if qid not in serial:
+                        serial[qid] = len(serial)
+            # Advance the qubit-use cursors past this timestep.
+            for node in nodes:
+                for qid in op_q[op_off[node] : op_off[node + 1]]:
+                    ulist = uses[qid]
+                    u = next_use_idx[qid]
+                    end = len(ulist)
+                    while u < end and (ulist[u] >> 16) <= t:
+                        u += 1
+                    next_use_idx[qid] = u
         _bill_epoch(epoch, stats)
         # --- eviction decisions for the next epoch ----------------------
         if t + 1 < n_ts:
-            next_ts = timesteps[t + 1]
-            active_next = {
-                r for r, nodes in enumerate(next_ts.regions) if nodes
-            }
-            used_next: Dict[Qubit, int] = {}
-            for r, nodes in enumerate(next_ts.regions):
-                for n in nodes:
-                    for q in statements[n].qubits:
-                        used_next[q] = r
-            candidates: List[Tuple[int, Qubit]] = []
-            dead: List[Qubit] = []
-            for q, r in resident.items():
-                if q in used_next:
+            next_regions = ssched.regions_at(t + 1)
+            active_next = {r for r, _ in next_regions}
+            used_next: Dict[int, int] = {}
+            for r, nodes in next_regions:
+                for node in nodes:
+                    for qid in op_q[op_off[node] : op_off[node + 1]]:
+                        used_next[qid] = r
+            candidates: List[Tuple[int, int]] = []
+            dead: List[int] = []
+            for qid, r in resident.items():
+                if qid in used_next:
                     # Either stays for its next op or is fetched by the
                     # next timestep's operand pass.
                     continue
                 if r not in active_next:
                     continue  # idle regions store qubits passively
-                if next_use_idx[q] >= len(uses[q]):
+                if next_use_idx[qid] >= len(uses[qid]):
                     # Dead qubit: left behind and reabsorbed as ancilla
                     # or EPR feedstock (Section 4.4) — no move billed,
                     # and no reason to ever reconsider it.
-                    dead.append(q)
+                    dead.append(qid)
                     continue
-                candidates.append((serial[q], q))
-            for q in dead:
-                del resident[q]
+                candidates.append((serial[qid], qid))
+            for qid in dead:
+                del resident[qid]
             # Scratchpad space is claimed in visit order, so the visit
             # order must match the reference scan's (first-move order).
             candidates.sort()
-            for _, q in candidates:
-                r = resident[q]
-                next_region = uses[q][next_use_idx[q]][1]
+            for _, qid in candidates:
+                r = resident[qid]
+                next_region = uses[qid][next_use_idx[qid]] & 0xFFFF
                 if (
                     next_region == r
                     and machine.has_local_memory
@@ -204,9 +221,31 @@ def derive_movement(
                 else:
                     dest = ("global",)
                     kind = "teleport"
+                q = qubit_objs[qid]
                 pending_evictions.append(Move(q, ("region", r), dest, kind))
                 mm.move(q, dest)
-                del resident[q]
+                del resident[qid]
+        yield t, epoch, cur_regions
+
+
+@spanned("comm:derive_movement")
+def derive_movement_stream(
+    cols: StreamColumns,
+    ssched: StreamedSchedule,
+    machine: MultiSIMD,
+    sink: Optional[
+        Callable[[int, List[Move], List[Tuple[int, List[int]]]], None]
+    ] = None,
+) -> CommStats:
+    """Drain :func:`iter_schedule_epochs` and return the communication
+    profile; ``sink`` (if given) observes each epoch as it retires —
+    the hook that fills ``ts.moves`` and writes stream exports."""
+    stats = CommStats()
+    for t, epoch, regions in iter_schedule_epochs(
+        cols, ssched, machine, stats
+    ):
+        if sink is not None:
+            sink(t, epoch, regions)
     return stats
 
 

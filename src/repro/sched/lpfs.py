@@ -26,36 +26,43 @@ per free-list query: per-gate-type buckets plus an arrival FIFO, with
 lazy deletion and incremental per-gate counts, so most-common-gate is a
 counter read, oldest-gate amortizes to O(1), and extraction touches
 only the requested bucket. Nodes become ready exactly once, so lazily
-dropped stale entries never resurface. The pre-optimization
-implementation is kept as a test oracle (``tests/_reference.py``); the
-differential battery checks that both produce bit-identical schedules.
+dropped stale entries never resurface.
+
+:func:`lpfs_columns` is the one implementation, over
+:class:`~repro.sched.columns.StreamColumns` (both compile pipelines);
+:func:`schedule_lpfs` adapts a DAG. The differential battery checks it
+bit-for-bit against the pre-optimization oracle (``tests/_reference.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set
 
 from ..core.dag import DependenceDAG
 from ..instrument import spanned
+from .columns import StreamColumns, StreamedSchedule
 from .types import Schedule
 
-__all__ = ["schedule_lpfs"]
+__all__ = ["lpfs_columns", "schedule_lpfs"]
 
 
 class _FreeList:
     """Bucketed lazy-deletion ready set for LPFS.
 
     ``in_ready`` is the authoritative membership; ``buckets`` (per gate
-    type, arrival order) and ``fifo`` (global arrival order) may hold
+    id, arrival order) and ``fifo`` (global arrival order) may hold
     stale entries, dropped when encountered. ``counts[g]`` is the live
     in-ready count per gate; ``path_counts[g]`` the live in-ready count
     claimed by a pinned path — the difference is the free-list size per
-    gate, which answers ``most_common`` without a rescan.
+    gate, which answers ``most_common`` without a rescan. Name-ordered
+    tie-breaks resolve through the intern table.
     """
 
     __slots__ = (
-        "gates",
+        "gate_ids",
+        "gate_names",
         "on_path",
         "in_ready",
         "buckets",
@@ -64,49 +71,50 @@ class _FreeList:
         "path_counts",
     )
 
-    def __init__(self, dag: DependenceDAG, on_path: Set[int]):
-        self.gates = [stmt.gate for stmt in dag.statements]
+    def __init__(self, cols: StreamColumns, on_path: bytearray):
+        self.gate_ids = cols.gate_ids
+        self.gate_names = cols.gate_names
         self.on_path = on_path
         self.in_ready: Set[int] = set()
-        self.buckets: Dict[str, Deque[int]] = {}
+        self.buckets: Dict[int, Deque[int]] = {}
         self.fifo: Deque[int] = deque()
-        self.counts: Dict[str, int] = {}
-        self.path_counts: Dict[str, int] = {}
+        self.counts: Dict[int, int] = {}
+        self.path_counts: Dict[int, int] = {}
 
     def add(self, node: int) -> None:
         """A node's last dependency completed: it is now ready."""
-        gate = self.gates[node]
-        bucket = self.buckets.get(gate)
+        gid = self.gate_ids[node]
+        bucket = self.buckets.get(gid)
         if bucket is None:
-            bucket = self.buckets[gate] = deque()
+            bucket = self.buckets[gid] = deque()
         bucket.append(node)
         self.fifo.append(node)
         self.in_ready.add(node)
-        self.counts[gate] = self.counts.get(gate, 0) + 1
-        if node in self.on_path:
+        self.counts[gid] = self.counts.get(gid, 0) + 1
+        if self.on_path[node]:
             # A claimed path head just became ready.
-            self.path_counts[gate] = self.path_counts.get(gate, 0) + 1
+            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
 
     def claim_mark(self, node: int) -> None:
-        """A path claim just put ``node`` in ``on_path``."""
+        """A path claim just set ``on_path[node]``."""
         if node in self.in_ready:
-            gate = self.gates[node]
-            self.path_counts[gate] = self.path_counts.get(gate, 0) + 1
+            gid = self.gate_ids[node]
+            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
 
     def remove_scheduled(self, node: int) -> None:
         """``node`` was scheduled outside extraction (path head or
         progress-guard fallback); its bucket/FIFO entries go stale."""
         if node in self.in_ready:
             self.in_ready.discard(node)
-            gate = self.gates[node]
-            self.counts[gate] -= 1
-            if node in self.on_path:
-                self.path_counts[gate] -= 1
+            gid = self.gate_ids[node]
+            self.counts[gid] -= 1
+            if self.on_path[node]:
+                self.path_counts[gid] -= 1
 
-    def extract(self, gate: str, cap: Optional[int]) -> List[int]:
-        """Pull up to ``cap`` live, non-path ops of type ``gate`` in
+    def extract(self, gid: int, cap: Optional[int]) -> List[int]:
+        """Pull up to ``cap`` live, non-path ops of gate ``gid`` in
         arrival order (all of them when ``cap`` is None)."""
-        bucket = self.buckets.get(gate)
+        bucket = self.buckets.get(gid)
         if not bucket:
             return []
         limit = len(bucket) if cap is None else cap
@@ -120,7 +128,7 @@ class _FreeList:
             node = bucket.popleft()
             if node not in in_ready:
                 continue  # stale entry: dropped for good
-            if node in on_path:
+            if on_path[node]:
                 stash.append(node)  # path-claimed: keep, in order
                 continue
             batch.append(node)
@@ -128,28 +136,32 @@ class _FreeList:
         if stash:
             bucket.extendleft(reversed(stash))
         if not bucket:
-            del self.buckets[gate]
+            del self.buckets[gid]
         if batch:
-            self.counts[gate] -= len(batch)
+            self.counts[gid] -= len(batch)
         return batch
 
-    def most_common(self) -> Optional[str]:
-        """Gate type with the most free (live, non-path) ready ops;
-        ties go to the lexicographically largest name."""
+    def most_common(self) -> Optional[int]:
+        """Gate id with the most free (live, non-path) ready ops; ties
+        go to the lexicographically largest name."""
         path_counts = self.path_counts
-        best_gate: Optional[str] = None
+        gate_names = self.gate_names
+        best_gid: Optional[int] = None
+        best_name: Optional[str] = None
         best_free = 0
-        for gate, count in self.counts.items():
-            free = count - path_counts.get(gate, 0)
+        for gid, count in self.counts.items():
+            free = count - path_counts.get(gid, 0)
             if free <= 0:
                 continue
-            if free > best_free or (free == best_free and gate > best_gate):
+            name = gate_names[gid]
+            if free > best_free or (free == best_free and name > best_name):
                 best_free = free
-                best_gate = gate
-        return best_gate
+                best_gid = gid
+                best_name = name
+        return best_gid
 
-    def oldest(self) -> Optional[str]:
-        """Gate type of the oldest free ready op (FIFO order)."""
+    def oldest(self) -> Optional[int]:
+        """Gate id of the oldest free ready op (FIFO order)."""
         fifo = self.fifo
         in_ready = self.in_ready
         on_path = self.on_path
@@ -160,25 +172,25 @@ class _FreeList:
             if node not in in_ready:
                 fifo.popleft()
                 continue  # stale entry: dropped for good
-            if node not in on_path:
-                return self.gates[node]
+            if not on_path[node]:
+                return self.gate_ids[node]
             break
         else:
             return None
         # A live path head blocks the front: scan past it with a stash.
         stash: List[int] = []
-        gate: Optional[str] = None
+        gid: Optional[int] = None
         while fifo:
             node = fifo.popleft()
             if node not in in_ready:
                 continue
             stash.append(node)
-            if node not in on_path:
-                gate = self.gates[node]
+            if not on_path[node]:
+                gid = self.gate_ids[node]
                 break
         if stash:
             fifo.extendleft(reversed(stash))
-        return gate
+        return gid
 
     def fallback_pop(self) -> Optional[int]:
         """Pop the oldest live ready op (path-claimed or not) for the
@@ -192,7 +204,6 @@ class _FreeList:
         return None
 
 
-@spanned("schedule:lpfs")
 def schedule_lpfs(
     dag: DependenceDAG,
     k: int,
@@ -210,61 +221,80 @@ def schedule_lpfs(
         simd: enable opportunistic SIMD fill in path regions.
         refill: re-seed a path region when its path completes.
     """
+    cols = StreamColumns.from_dag(dag)
+    return lpfs_columns(cols, k, d, l, simd, refill).inflate(dag)
+
+
+@spanned("schedule:lpfs")
+def lpfs_columns(
+    cols: StreamColumns,
+    k: int,
+    d: Optional[int] = None,
+    l: int = 1,
+    simd: bool = True,
+    refill: bool = True,
+) -> StreamedSchedule:
+    """Schedule ``cols`` with LPFS (arguments as for
+    :func:`schedule_lpfs`). ``done``/``on_path`` are byte flags: sets
+    of int would cost O(gates) boxed memory."""
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    sched = Schedule(dag, k=k, d=d, algorithm="lpfs")
-    statements = dag.statements
-    succs_all = dag.succs
-    indeg = dag.indegrees()
-    heights = dag.heights()
-    on_path: Set[int] = set()
-    done: Set[int] = set()
-    free_list = _FreeList(dag, on_path)
-    for node in dag.sources():
+    out = StreamedSchedule(k, d, "lpfs")
+    n = cols.n
+    gate_ids = cols.gate_ids
+    succ_flat, succ_off = cols.succ_flat, cols.succ_off
+    indeg = cols.indegrees()
+    heights = cols.heights()
+    on_path = bytearray(n)
+    done = bytearray(n)
+    free_list = _FreeList(cols, on_path)
+    for node in cols.sources():
         free_list.add(node)
     paths: List[Deque[int]] = [
-        _claim_longest_path(dag, heights, free_list, done)
+        _claim_longest_path(cols, heights, free_list, done)
         for _ in range(l)
     ]
 
     scheduled = 0
-    while scheduled < dag.n:
-        ts = sched.append_timestep()
+    while scheduled < n:
+        regions: Dict[int, List[int]] = {}
         placed: List[int] = []
         # --- allocated (path-pinned) regions -----------------------------
         for i in range(l):
             if refill and not paths[i]:
                 paths[i] = _claim_longest_path(
-                    dag, heights, free_list, done
+                    cols, heights, free_list, done
                 )
             path = paths[i]
             if path and path[0] in free_list.in_ready:
                 head = path.popleft()
                 free_list.remove_scheduled(head)
-                on_path.discard(head)
-                ts.regions[i].append(head)
+                on_path[head] = 0
+                dst = regions.setdefault(i, [])
+                dst.append(head)
                 placed.append(head)
                 if simd:
-                    gate = statements[head].gate
                     cap = None if d is None else d - 1
-                    batch = free_list.extract(gate, cap)
-                    ts.regions[i].extend(batch)
+                    batch = free_list.extract(gate_ids[head], cap)
+                    dst.extend(batch)
                     placed.extend(batch)
             elif simd:
                 # Path empty or stalled: execute free-list ops instead.
-                gate = free_list.most_common()
-                if gate is not None:
-                    batch = free_list.extract(gate, d)
-                    ts.regions[i].extend(batch)
-                    placed.extend(batch)
+                gid = free_list.most_common()
+                if gid is not None:
+                    batch = free_list.extract(gid, d)
+                    if batch:
+                        regions.setdefault(i, []).extend(batch)
+                        placed.extend(batch)
         # --- unallocated regions: drain the free list --------------------
         for i in range(l, k):
-            gate = free_list.oldest()
-            if gate is None:
+            gid = free_list.oldest()
+            if gid is None:
                 break
-            batch = free_list.extract(gate, d)
-            ts.regions[i].extend(batch)
-            placed.extend(batch)
+            batch = free_list.extract(gid, d)
+            if batch:
+                regions.setdefault(i, []).extend(batch)
+                placed.extend(batch)
         # --- progress guard ----------------------------------------------
         # With k == l and SIMD off, free-list ops have no region to run
         # in; fall back to executing the oldest ready op in region 0 so
@@ -273,46 +303,53 @@ def schedule_lpfs(
             node = free_list.fallback_pop()
             if node is None:  # pragma: no cover - defensive
                 raise RuntimeError("LPFS deadlock (scheduler bug)")
-            on_path.discard(node)
+            on_path[node] = 0
             for i in range(l):
                 if paths[i] and paths[i][0] == node:
                     paths[i].popleft()
-            ts.regions[0].append(node)
+            regions[0] = [node]
             placed.append(node)
         # --- ready-list update -------------------------------------------
-        done.update(placed)
         for node in placed:
-            for child in succs_all[node]:
+            done[node] = 1
+        for node in placed:
+            for j in range(succ_off[node], succ_off[node + 1]):
+                child = succ_flat[j]
                 indeg[child] -= 1
                 if indeg[child] == 0 and child not in free_list.in_ready:
                     free_list.add(child)
         scheduled += len(placed)
-    return sched
+        out._append_timestep(regions)
+    return out
 
 
 def _claim_longest_path(
-    dag: DependenceDAG,
-    heights: List[int],
+    cols: StreamColumns,
+    heights: array,
     free_list: _FreeList,
-    done: Set[int],
+    done: bytearray,
 ) -> Deque[int]:
     """``getNextLongestPath``: the longest chain rooted in the current
     ready list, truncated if it runs into a node already claimed by
-    another path or already scheduled. Claims its nodes in
-    ``on_path``."""
+    another path or already scheduled. Claims its nodes in ``on_path``.
+    The strict-max key ``(height, -node)`` makes the claim independent
+    of the ready set's iteration order."""
     on_path = free_list.on_path
-    candidates = [n for n in free_list.in_ready if n not in on_path]
+    candidates = [n for n in free_list.in_ready if not on_path[n]]
     if not candidates:
         return deque()
     start = max(candidates, key=lambda n: (heights[n], -n))
     path: Deque[int] = deque()
+    succ_flat, succ_off = cols.succ_flat, cols.succ_off
     node: Optional[int] = start
-    while node is not None and node not in on_path and node not in done:
+    while node is not None and not on_path[node] and not done[node]:
         path.append(node)
-        on_path.add(node)
+        on_path[node] = 1
         free_list.claim_mark(node)
-        succs = dag.succs[node]
+        lo, hi = succ_off[node], succ_off[node + 1]
         node = (
-            max(succs, key=lambda s: (heights[s], -s)) if succs else None
+            max(succ_flat[lo:hi], key=lambda s: (heights[s], -s))
+            if lo < hi
+            else None
         )
     return path

@@ -12,18 +12,26 @@ from typing import Optional
 
 from ..core.dag import DependenceDAG
 from ..instrument import spanned
+from .columns import StreamColumns, StreamedSchedule
 from .types import Schedule
 
-__all__ = ["schedule_sequential"]
+__all__ = ["schedule_sequential", "sequential_columns"]
 
 
-@spanned("schedule:sequential")
 def schedule_sequential(
     dag: DependenceDAG, k: int = 1, d: Optional[int] = None
 ) -> Schedule:
     """Schedule one op per timestep in region 0."""
-    sched = Schedule(dag, k=k, d=d, algorithm="sequential")
-    for node in range(dag.n):
-        ts = sched.append_timestep()
-        ts.regions[0].append(node)
-    return sched
+    cols = StreamColumns.from_dag(dag)
+    return sequential_columns(cols, k, d).inflate(dag)
+
+
+@spanned("schedule:sequential")
+def sequential_columns(
+    cols: StreamColumns, k: int = 1, d: Optional[int] = None
+) -> StreamedSchedule:
+    """Schedule one op per timestep in region 0."""
+    out = StreamedSchedule(k, d, "sequential")
+    for node in range(cols.n):
+        out._append_timestep({0: [node]})
+    return out

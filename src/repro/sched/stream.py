@@ -1,52 +1,30 @@
 """Windowed columnar scheduling for paper-scale leaf bodies.
 
-The materialized pipeline spends ~1 KiB per gate: each op is a boxed
-``Operation`` with a qubit tuple, the DAG holds per-node Python lists,
-and the schedulers copy those into per-timestep region lists. At the
-paper's 10^7-gate leaves that is tens of GiB. This module runs the
-*same algorithms* over a columnar encoding at ~50 B per gate:
-
-* gates are interned ids in an ``array('H')``;
-* operands are interned qubit ids in one flat ``array('i')`` plus an
-  offsets array (CSR layout);
-* dependence edges are ingested op-by-op from an
-  :class:`~repro.core.opstream.OpStream` with the same per-qubit
-  last-writer map as :func:`repro.core.dag._build_edges_fast`, into a
-  CSR predecessor table that is transposed to successors by counting
-  sort and then freed;
-* heights/depths/slack are ``array('i')`` passes over the CSR tables.
-
-``window`` governs the *ingestion* memory granularity: it bounds how
-many boxed ``Operation`` objects are ever alive while the columns are
-built (``None`` materializes the whole stream first — the materialized
-pipeline's ingest profile). It cannot affect the emitted schedule:
-every window produces identical columns, and the schedulers run on the
-columns alone. That is the streaming pipeline's window-invariance
-guarantee, and it is exactly why the streamed schedules are bit-for-bit
-the schedules of the materialized fast path — the scheduler mirrors
-below replay :mod:`repro.sched.rcp`, :mod:`repro.sched.lpfs`,
-:mod:`repro.sched.sequential` and :func:`repro.sched.comm.
-derive_movement` decision-for-decision (same priority arithmetic, same
-tie-breaks, same iteration orders), with node/gate/qubit ids in place
-of boxed objects. ``tests/test_stream_sched.py`` and the differential
-battery check the equivalence end to end.
+At the paper's 10^7-gate leaves a boxed leaf (ops, DAG, ``Schedule``)
+costs tens of GiB. The streaming pipeline never builds one:
+:func:`build_columns` ingests the leaf's
+:class:`~repro.core.opstream.OpStream` ``window`` ops at a time into
+:class:`~repro.sched.columns.StreamColumns` (~50 B per gate), and
+:func:`schedule_columns` and :func:`derive_movement_stream` run the one
+RCP, LPFS, sequential and movement implementation
+(:mod:`repro.sched.rcp`, :mod:`~repro.sched.lpfs`,
+:mod:`~repro.sched.sequential`, :mod:`~repro.sched.comm`) on the
+columns — the kernels the materialized pipeline runs too. So
+``window`` cannot change a schedule; ``tests/test_stream_sched.py``
+checks this window-invariance end to end.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import deque
-from typing import Callable, Dict, Deque, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from ..arch.machine import GATE_CYCLES, MultiSIMD
-from ..arch.memory import MemoryMap
+from ..arch.machine import MultiSIMD
 from ..core.dag import DependenceDAG
-from ..core.operation import Operation
-from ..core.opstream import OpStream, iter_chunks
-from ..core.qubits import Qubit
-from ..instrument import spanned
-from .comm import CommStats, _bill_epoch
-from .rcp import RCPWeights
+from .columns import StreamColumns, StreamedSchedule, build_columns
+from .comm import CommStats, derive_movement_stream, iter_schedule_epochs
+from .lpfs import lpfs_columns
+from .rcp import RCPWeights, rcp_columns
+from .sequential import sequential_columns
 from .types import Move, Schedule
 
 __all__ = [
@@ -60,673 +38,7 @@ __all__ = [
     "to_schedule",
 ]
 
-_MAX_NODES = 2**31 - 1
-_MAX_GATES = 2**16
-_MAX_REGIONS = 2**16
 
-
-class StreamColumns:
-    """Columnar form of one leaf body plus its dependence structure.
-
-    Node ids are statement indices ``0..n-1`` in program order, exactly
-    as in :class:`~repro.core.dag.DependenceDAG`. Qubits and gate names
-    are interned; the boxed ops themselves are not retained.
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.gate_names: List[str] = []
-        self.gate_ids = array("H")
-        self.qubits: List[Qubit] = []
-        self.op_q = array("i")  # flattened operand qubit ids
-        self.op_off = array("i", [0])
-        self.angles: Dict[int, float] = {}
-        # CSR successor table (built by finalize; preds are transient).
-        self.succ_flat = array("i")
-        self.succ_off = array("i")
-        self.indeg_base = array("i")
-        self._heights: Optional[array] = None
-        self._depths: Optional[array] = None
-        self._slack: Optional[array] = None
-
-    # -- shape ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.n
-
-    def operands(self, node: int) -> Tuple[int, ...]:
-        return tuple(self.op_q[self.op_off[node] : self.op_off[node + 1]])
-
-    def gate_of(self, node: int) -> str:
-        return self.gate_names[self.gate_ids[node]]
-
-    def operation(self, node: int) -> Operation:
-        """Rebox one node as an :class:`Operation` (tests, inflation)."""
-        return Operation(
-            self.gate_of(node),
-            tuple(
-                self.qubits[self.op_q[j]]
-                for j in range(self.op_off[node], self.op_off[node + 1])
-            ),
-            self.angles.get(node),
-        )
-
-    def sources(self) -> Iterator[int]:
-        indeg = self.indeg_base
-        return (i for i in range(self.n) if not indeg[i])
-
-    def indegrees(self) -> array:
-        """Fresh in-degree array (consumed by the list schedulers)."""
-        return array("i", self.indeg_base)
-
-    # -- longest-path analyses (mirrors of DependenceDAG) -----------------
-
-    def heights(self) -> array:
-        if self._heights is None:
-            n = self.n
-            h = array("i", bytes(4 * n))
-            succ_flat, succ_off = self.succ_flat, self.succ_off
-            for i in range(n - 1, -1, -1):
-                below = 0
-                for j in range(succ_off[i], succ_off[i + 1]):
-                    hs = h[succ_flat[j]]
-                    if hs > below:
-                        below = hs
-                h[i] = 1 + below
-            self._heights = h
-        return self._heights
-
-    def depths(self) -> array:
-        # Forward relaxation over successor edges (all edges point
-        # forward in program order): when node i is visited, d[i]
-        # already holds the max depth over its predecessors — the same
-        # recurrence DependenceDAG.depths computes over preds, which
-        # this class frees after transposition.
-        if self._depths is None:
-            n = self.n
-            d = array("i", bytes(4 * n))
-            succ_flat, succ_off = self.succ_flat, self.succ_off
-            for i in range(n):
-                di = d[i] + 1
-                d[i] = di
-                for j in range(succ_off[i], succ_off[i + 1]):
-                    s = succ_flat[j]
-                    if di > d[s]:
-                        d[s] = di
-            self._depths = d
-        return self._depths
-
-    def critical_path_length(self) -> int:
-        return max(self.depths(), default=0)
-
-    def slack(self) -> array:
-        if self._slack is None:
-            cp = self.critical_path_length()
-            d, h = self.depths(), self.heights()
-            self._slack = array(
-                "i", (cp - (d[i] + h[i] - 1) for i in range(self.n))
-            )
-        return self._slack
-
-    def release_graph(self) -> None:
-        """Drop the dependence structure once scheduling is done —
-        movement derivation only reads operands and the schedule."""
-        self.succ_flat = array("i")
-        self.succ_off = array("i")
-        self._heights = self._depths = self._slack = None
-
-
-@spanned("stream:build_columns")
-def build_columns(
-    stream: OpStream, window: Optional[int] = None
-) -> StreamColumns:
-    """Ingest a leaf stream into columns, ``window`` ops at a time.
-
-    The per-qubit last-writer map, inline <=3-element dedup and sort
-    mirror :func:`repro.core.dag._build_edges_fast` exactly; successor
-    lists come out in ascending node order (counting sort over the
-    predecessor table), matching the fast path's append order.
-    """
-    cols = StreamColumns()
-    gate_table: Dict[str, int] = {}
-    qubit_table: Dict[Qubit, int] = {}
-    gate_names = cols.gate_names
-    gate_ids = cols.gate_ids
-    qubits = cols.qubits
-    op_q = cols.op_q
-    op_off = cols.op_off
-    angles = cols.angles
-    pred_flat = array("i")
-    pred_off = array("i", [0])
-    last_touch: Dict[int, int] = {}
-    get_last = last_touch.get
-    n = 0
-    for chunk in iter_chunks(stream, window):
-        for op in chunk:
-            gid = gate_table.get(op.gate)
-            if gid is None:
-                gid = gate_table[op.gate] = len(gate_names)
-                if gid >= _MAX_GATES:
-                    raise OverflowError(
-                        f"more than {_MAX_GATES} distinct gate names"
-                    )
-                gate_names.append(op.gate)
-            plist: List[int] = []
-            for q in op.qubits:
-                qid = qubit_table.get(q)
-                if qid is None:
-                    qid = qubit_table[q] = len(qubits)
-                    qubits.append(q)
-                op_q.append(qid)
-                prev = get_last(qid)
-                if prev is not None and prev not in plist:
-                    plist.append(prev)
-                last_touch[qid] = n
-            if len(plist) > 1:
-                plist.sort()
-            pred_flat.extend(plist)
-            pred_off.append(len(pred_flat))
-            gate_ids.append(gid)
-            op_off.append(len(op_q))
-            if op.angle is not None:
-                angles[n] = op.angle
-            n += 1
-            if n >= _MAX_NODES:
-                raise OverflowError("leaf exceeds 2^31-1 operations")
-        # Chunk ops die here; a finite window bounds peak boxed-op count.
-        del chunk
-    cols.n = n
-    cols.indeg_base = array(
-        "i", (pred_off[i + 1] - pred_off[i] for i in range(n))
-    )
-    # Transpose preds -> succs by counting sort. Node ids are appended
-    # in ascending order, so each successor list is ascending — the
-    # order _build_edges_fast produces.
-    n_edges = len(pred_flat)
-    succ_cnt = array("i", bytes(4 * n))
-    for p in pred_flat:
-        succ_cnt[p] += 1
-    succ_off = array("i", bytes(4 * (n + 1)))
-    run = 0
-    for i in range(n):
-        succ_off[i] = run
-        run += succ_cnt[i]
-    succ_off[n] = run
-    cursor = array("i", succ_off[:n])
-    succ_flat = array("i", bytes(4 * n_edges))
-    for i in range(n):
-        for j in range(pred_off[i], pred_off[i + 1]):
-            p = pred_flat[j]
-            succ_flat[cursor[p]] = i
-            cursor[p] += 1
-    cols.succ_flat = succ_flat
-    cols.succ_off = succ_off
-    return cols
-
-
-class StreamedSchedule:
-    """A schedule in flat arrays: ~10 B per op instead of per-timestep
-    region lists of boxed ints.
-
-    Entries are stored timestep-major, region-ascending, insertion order
-    within a region — the order ``for r, nodes in enumerate(ts.regions)``
-    iterates a materialized :class:`~repro.sched.types.Schedule`.
-    """
-
-    def __init__(self, k: int, d: Optional[int], algorithm: str):
-        if k >= _MAX_REGIONS:
-            raise OverflowError(f"k={k} exceeds region-id width")
-        self.k = k
-        self.d = d
-        self.algorithm = algorithm
-        self.ts_off = array("i", [0])
-        self.flat_regions = array("H")
-        self.flat_nodes = array("i")
-        self.max_width = 0
-        self.op_count = 0
-
-    @property
-    def length(self) -> int:
-        return len(self.ts_off) - 1
-
-    def _append_timestep(self, regions: Dict[int, List[int]]) -> None:
-        """Flush one timestep's region->nodes map (all lists non-empty)."""
-        flat_r, flat_n = self.flat_regions, self.flat_nodes
-        for r in sorted(regions):
-            nodes = regions[r]
-            for node in nodes:
-                flat_r.append(r)
-                flat_n.append(node)
-            self.op_count += len(nodes)
-        self.ts_off.append(len(flat_n))
-        if len(regions) > self.max_width:
-            self.max_width = len(regions)
-
-    def regions_at(self, t: int) -> List[Tuple[int, List[int]]]:
-        """The non-empty regions of timestep ``t`` as ``(r, nodes)``,
-        region-ascending (entries are stored grouped and sorted)."""
-        flat_r, flat_n = self.flat_regions, self.flat_nodes
-        out: List[Tuple[int, List[int]]] = []
-        j = self.ts_off[t]
-        end = self.ts_off[t + 1]
-        while j < end:
-            r = flat_r[j]
-            nodes: List[int] = []
-            while j < end and flat_r[j] == r:
-                nodes.append(flat_n[j])
-                j += 1
-            out.append((r, nodes))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Scheduler mirrors
-# ---------------------------------------------------------------------------
-
-
-def _rcp_stream(
-    cols: StreamColumns,
-    k: int,
-    d: Optional[int],
-    weights: Optional[RCPWeights],
-) -> StreamedSchedule:
-    """Mirror of :func:`repro.sched.rcp.schedule_rcp` over columns."""
-    w = weights or RCPWeights()
-    out = StreamedSchedule(k, d, "rcp")
-    n = cols.n
-    gate_ids = cols.gate_ids
-    op_q, op_off = cols.op_q, cols.op_off
-    succ_flat, succ_off = cols.succ_flat, cols.succ_off
-    indeg = cols.indegrees()
-    slack = cols.slack()
-    buckets: Dict[int, Deque[int]] = {}
-    n_ready = 0
-    for node in cols.sources():
-        gid = gate_ids[node]
-        bucket = buckets.get(gid)
-        if bucket is None:
-            bucket = buckets[gid] = deque()
-        bucket.append(node)
-        n_ready += 1
-    location: Dict[int, int] = {}  # qubit id -> region; absent = memory
-    scheduled = 0
-
-    while scheduled < n:
-        regions: Dict[int, List[int]] = {}
-        available = list(range(k))
-        placed_this_ts: List[int] = []
-        while available and n_ready:
-            region, gid = _pick_max_weight_stream(
-                cols, buckets, available, location, slack, w
-            )
-            bucket = buckets[gid]
-            cap = len(bucket) if d is None else d
-            batch: List[int] = []
-            while bucket and len(batch) < cap:
-                batch.append(bucket.popleft())
-            if not bucket:
-                del buckets[gid]
-            n_ready -= len(batch)
-            dst = regions.get(region)
-            if dst is None:
-                dst = regions[region] = []
-            dst.extend(batch)
-            placed_this_ts.extend(batch)
-            for node in batch:
-                for j in range(op_off[node], op_off[node + 1]):
-                    location[op_q[j]] = region
-            available.remove(region)
-        for node in placed_this_ts:
-            for j in range(succ_off[node], succ_off[node + 1]):
-                child = succ_flat[j]
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    gid = gate_ids[child]
-                    bucket = buckets.get(gid)
-                    if bucket is None:
-                        bucket = buckets[gid] = deque()
-                    bucket.append(child)
-                    n_ready += 1
-        scheduled += len(placed_this_ts)
-        if not placed_this_ts:  # pragma: no cover - defensive
-            raise RuntimeError("RCP made no progress (scheduler bug)")
-        out._append_timestep(regions)
-    return out
-
-
-def _pick_max_weight_stream(
-    cols: StreamColumns,
-    buckets: Dict[int, Deque[int]],
-    available: List[int],
-    location: Dict[int, int],
-    slack: array,
-    w: RCPWeights,
-) -> Tuple[int, int]:
-    """Mirror of :func:`repro.sched.rcp._pick_max_weight`: identical
-    float expressions and the same (gate name, region) tie-break, with
-    gate/qubit ids in place of boxed objects."""
-    w_op, w_dist, w_slack = w.w_op, w.w_dist, w.w_slack
-    gate_names = cols.gate_names
-    op_q, op_off = cols.op_q, cols.op_off
-    loc_get = location.get
-    avail_set = set(available)
-    best_weight = float("-inf")
-    best_gate: Optional[str] = None
-    best_gid = -1
-    best_region = -1
-    for gid, bucket in buckets.items():
-        gate = gate_names[gid]
-        type_term = w_op * len(bucket)
-        for node in bucket:
-            base = type_term - w_slack * slack[node]
-            resident: Dict[int, int] = {}
-            for j in range(op_off[node], op_off[node + 1]):
-                r = loc_get(op_q[j])
-                if r is not None:
-                    resident[r] = resident.get(r, 0) + 1
-            for r, count in resident.items():
-                if r not in avail_set:
-                    continue
-                weight = base + w_dist * count
-                if weight > best_weight or (
-                    weight == best_weight
-                    and (gate, r) < (best_gate, best_region)
-                ):
-                    best_weight = weight
-                    best_gate = gate
-                    best_gid = gid
-                    best_region = r
-            for r in available:
-                if r not in resident:
-                    if base > best_weight or (
-                        base == best_weight
-                        and (gate, r) < (best_gate, best_region)
-                    ):
-                        best_weight = base
-                        best_gate = gate
-                        best_gid = gid
-                        best_region = r
-                    break
-    assert best_gate is not None
-    return best_region, best_gid
-
-
-class _StreamFreeList:
-    """Mirror of :class:`repro.sched.lpfs._FreeList` with gate ids,
-    byte-flag path membership and the same lazy-deletion semantics.
-    Name-ordered tie-breaks resolve through the intern table."""
-
-    __slots__ = (
-        "gate_ids",
-        "gate_names",
-        "on_path",
-        "in_ready",
-        "buckets",
-        "fifo",
-        "counts",
-        "path_counts",
-    )
-
-    def __init__(self, cols: StreamColumns, on_path: bytearray):
-        self.gate_ids = cols.gate_ids
-        self.gate_names = cols.gate_names
-        self.on_path = on_path
-        self.in_ready: Set[int] = set()
-        self.buckets: Dict[int, Deque[int]] = {}
-        self.fifo: Deque[int] = deque()
-        self.counts: Dict[int, int] = {}
-        self.path_counts: Dict[int, int] = {}
-
-    def add(self, node: int) -> None:
-        gid = self.gate_ids[node]
-        bucket = self.buckets.get(gid)
-        if bucket is None:
-            bucket = self.buckets[gid] = deque()
-        bucket.append(node)
-        self.fifo.append(node)
-        self.in_ready.add(node)
-        self.counts[gid] = self.counts.get(gid, 0) + 1
-        if self.on_path[node]:
-            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
-
-    def claim_mark(self, node: int) -> None:
-        if node in self.in_ready:
-            gid = self.gate_ids[node]
-            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
-
-    def remove_scheduled(self, node: int) -> None:
-        if node in self.in_ready:
-            self.in_ready.discard(node)
-            gid = self.gate_ids[node]
-            self.counts[gid] -= 1
-            if self.on_path[node]:
-                self.path_counts[gid] -= 1
-
-    def extract(self, gid: int, cap: Optional[int]) -> List[int]:
-        bucket = self.buckets.get(gid)
-        if not bucket:
-            return []
-        limit = len(bucket) if cap is None else cap
-        if limit <= 0:
-            return []
-        in_ready = self.in_ready
-        on_path = self.on_path
-        batch: List[int] = []
-        stash: List[int] = []
-        while bucket and len(batch) < limit:
-            node = bucket.popleft()
-            if node not in in_ready:
-                continue
-            if on_path[node]:
-                stash.append(node)
-                continue
-            batch.append(node)
-            in_ready.discard(node)
-        if stash:
-            bucket.extendleft(reversed(stash))
-        if not bucket:
-            del self.buckets[gid]
-        if batch:
-            self.counts[gid] -= len(batch)
-        return batch
-
-    def most_common(self) -> Optional[int]:
-        path_counts = self.path_counts
-        gate_names = self.gate_names
-        best_gid: Optional[int] = None
-        best_name: Optional[str] = None
-        best_free = 0
-        for gid, count in self.counts.items():
-            free = count - path_counts.get(gid, 0)
-            if free <= 0:
-                continue
-            name = gate_names[gid]
-            if free > best_free or (
-                free == best_free and name > best_name
-            ):
-                best_free = free
-                best_gid = gid
-                best_name = name
-        return best_gid
-
-    def oldest(self) -> Optional[int]:
-        fifo = self.fifo
-        in_ready = self.in_ready
-        on_path = self.on_path
-        while fifo:
-            node = fifo[0]
-            if node not in in_ready:
-                fifo.popleft()
-                continue
-            if not on_path[node]:
-                return self.gate_ids[node]
-            break
-        else:
-            return None
-        stash: List[int] = []
-        gid: Optional[int] = None
-        while fifo:
-            node = fifo.popleft()
-            if node not in in_ready:
-                continue
-            stash.append(node)
-            if not on_path[node]:
-                gid = self.gate_ids[node]
-                break
-        if stash:
-            fifo.extendleft(reversed(stash))
-        return gid
-
-    def fallback_pop(self) -> Optional[int]:
-        fifo = self.fifo
-        while fifo:
-            node = fifo.popleft()
-            if node in self.in_ready:
-                self.remove_scheduled(node)
-                return node
-        return None
-
-
-def _lpfs_stream(
-    cols: StreamColumns,
-    k: int,
-    d: Optional[int],
-    l: int,
-    simd: bool,
-    refill: bool,
-) -> StreamedSchedule:
-    """Mirror of :func:`repro.sched.lpfs.schedule_lpfs` over columns.
-    ``done``/``on_path`` are byte flags (sets of int would reintroduce
-    O(gates) boxed memory)."""
-    if not 1 <= l <= k:
-        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    out = StreamedSchedule(k, d, "lpfs")
-    n = cols.n
-    gate_ids = cols.gate_ids
-    succ_flat, succ_off = cols.succ_flat, cols.succ_off
-    indeg = cols.indegrees()
-    heights = cols.heights()
-    on_path = bytearray(n)
-    done = bytearray(n)
-    free_list = _StreamFreeList(cols, on_path)
-    for node in cols.sources():
-        free_list.add(node)
-    paths: List[Deque[int]] = [
-        _claim_longest_path_stream(cols, heights, free_list, done)
-        for _ in range(l)
-    ]
-
-    scheduled = 0
-    while scheduled < n:
-        regions: Dict[int, List[int]] = {}
-        placed: List[int] = []
-        for i in range(l):
-            if refill and not paths[i]:
-                paths[i] = _claim_longest_path_stream(
-                    cols, heights, free_list, done
-                )
-            path = paths[i]
-            if path and path[0] in free_list.in_ready:
-                head = path.popleft()
-                free_list.remove_scheduled(head)
-                on_path[head] = 0
-                dst = regions.get(i)
-                if dst is None:
-                    dst = regions[i] = []
-                dst.append(head)
-                placed.append(head)
-                if simd:
-                    gid = gate_ids[head]
-                    cap = None if d is None else d - 1
-                    batch = free_list.extract(gid, cap)
-                    dst.extend(batch)
-                    placed.extend(batch)
-            elif simd:
-                gid = free_list.most_common()
-                if gid is not None:
-                    batch = free_list.extract(gid, d)
-                    if batch:
-                        dst = regions.get(i)
-                        if dst is None:
-                            dst = regions[i] = []
-                        dst.extend(batch)
-                    placed.extend(batch)
-        for i in range(l, k):
-            gid = free_list.oldest()
-            if gid is None:
-                break
-            batch = free_list.extract(gid, d)
-            if batch:
-                dst = regions.get(i)
-                if dst is None:
-                    dst = regions[i] = []
-                dst.extend(batch)
-            placed.extend(batch)
-        if not placed:
-            node = free_list.fallback_pop()
-            if node is None:  # pragma: no cover - defensive
-                raise RuntimeError("LPFS deadlock (scheduler bug)")
-            on_path[node] = 0
-            for i in range(l):
-                if paths[i] and paths[i][0] == node:
-                    paths[i].popleft()
-            regions[0] = [node]
-            placed.append(node)
-        for node in placed:
-            done[node] = 1
-        for node in placed:
-            for j in range(succ_off[node], succ_off[node + 1]):
-                child = succ_flat[j]
-                indeg[child] -= 1
-                if indeg[child] == 0 and child not in free_list.in_ready:
-                    free_list.add(child)
-        scheduled += len(placed)
-        out._append_timestep(regions)
-    return out
-
-
-def _claim_longest_path_stream(
-    cols: StreamColumns,
-    heights: array,
-    free_list: _StreamFreeList,
-    done: bytearray,
-) -> Deque[int]:
-    """Mirror of :func:`repro.sched.lpfs._claim_longest_path` — the
-    strict-max key ``(height, -node)`` makes the claim independent of
-    the ready set's iteration order."""
-    on_path = free_list.on_path
-    candidates = [n for n in free_list.in_ready if not on_path[n]]
-    if not candidates:
-        return deque()
-    start = max(candidates, key=lambda n: (heights[n], -n))
-    path: Deque[int] = deque()
-    succ_flat, succ_off = cols.succ_flat, cols.succ_off
-    node: Optional[int] = start
-    while node is not None and not on_path[node] and not done[node]:
-        path.append(node)
-        on_path[node] = 1
-        free_list.claim_mark(node)
-        lo, hi = succ_off[node], succ_off[node + 1]
-        if lo == hi:
-            node = None
-        else:
-            node = max(
-                succ_flat[lo:hi], key=lambda s: (heights[s], -s)
-            )
-    return path
-
-
-def _sequential_stream(
-    cols: StreamColumns, k: int, d: Optional[int]
-) -> StreamedSchedule:
-    """Mirror of :func:`repro.sched.sequential.schedule_sequential`."""
-    out = StreamedSchedule(k, d, "sequential")
-    for node in range(cols.n):
-        out._append_timestep({0: [node]})
-    return out
-
-
-@spanned("stream:schedule")
 def schedule_columns(
     cols: StreamColumns,
     algorithm: str,
@@ -737,164 +49,18 @@ def schedule_columns(
     lpfs_refill: bool = True,
     rcp_weights: Optional[RCPWeights] = None,
 ) -> StreamedSchedule:
-    """Schedule columns with the named algorithm (same option surface
-    as :class:`repro.toolflow.SchedulerConfig`, including the l <= k
-    clamp)."""
+    """Schedule columns with the named algorithm (the option surface
+    of :class:`repro.toolflow.SchedulerConfig`; LPFS's ``l`` is
+    clamped to at most ``k``)."""
     if algorithm == "sequential":
-        return _sequential_stream(cols, k, d)
+        return sequential_columns(cols, k, d)
     if algorithm == "rcp":
-        return _rcp_stream(cols, k, d, rcp_weights)
+        return rcp_columns(cols, k, d, rcp_weights)
     if algorithm == "lpfs":
-        return _lpfs_stream(
+        return lpfs_columns(
             cols, k, d, min(lpfs_l, k), lpfs_simd, lpfs_refill
         )
     raise ValueError(f"unknown scheduling algorithm: {algorithm!r}")
-
-
-# ---------------------------------------------------------------------------
-# Movement derivation (mirror of sched.comm.derive_movement)
-# ---------------------------------------------------------------------------
-
-
-def iter_schedule_epochs(
-    cols: StreamColumns,
-    ssched: StreamedSchedule,
-    machine: MultiSIMD,
-    stats: CommStats,
-) -> Iterator[Tuple[int, List[Move], List[Tuple[int, List[int]]]]]:
-    """Derive movement epoch-at-a-time, yielding
-    ``(t, moves, regions)`` per timestep and accumulating into
-    ``stats`` (bill one epoch per yield, exactly as
-    :func:`~repro.sched.comm.derive_movement` bills ``ts.moves``).
-
-    The mirrored state is identical — per-qubit use cursors (packed
-    ``(t << 16) | r`` in ``array('q')``), incremental resident set,
-    first-move serials for eviction order — so the emitted ``Move``
-    sequence per epoch is bit-identical to the materialized fast path.
-    Peak memory is the use lists (one packed int per operand slot),
-    never the epochs themselves.
-    """
-    op_q, op_off = cols.op_q, cols.op_off
-    qubit_objs = cols.qubits
-    n_ts = ssched.length
-    stats.gate_cycles += n_ts * GATE_CYCLES
-    # Per-qubit ordered use list: packed (timestep << 16) | region.
-    uses: List[array] = [array("q") for _ in range(len(qubit_objs))]
-    for t in range(n_ts):
-        for j in range(ssched.ts_off[t], ssched.ts_off[t + 1]):
-            r = ssched.flat_regions[j]
-            node = ssched.flat_nodes[j]
-            packed = (t << 16) | r
-            for i in range(op_off[node], op_off[node + 1]):
-                uses[op_q[i]].append(packed)
-    next_use_idx = array("i", bytes(4 * len(qubit_objs)))
-
-    mm = MemoryMap(k=ssched.k, local_capacity=machine.local_memory)
-    pending_evictions: List[Move] = []
-    resident: Dict[int, int] = {}
-    serial: Dict[int, int] = {}
-
-    next_regions = ssched.regions_at(0) if n_ts else []
-    for t in range(n_ts):
-        cur_regions = next_regions
-        epoch: List[Move] = pending_evictions
-        pending_evictions = []
-        for r, nodes in cur_regions:
-            target = ("region", r)
-            for node in nodes:
-                for i in range(op_off[node], op_off[node + 1]):
-                    qid = op_q[i]
-                    q = qubit_objs[qid]
-                    src = mm.location(q)
-                    if src == target:
-                        continue
-                    kind = (
-                        "local" if src == ("local", r) else "teleport"
-                    )
-                    epoch.append(Move(q, src, target, kind))
-                    mm.move(q, target)
-                    resident[qid] = r
-                    if qid not in serial:
-                        serial[qid] = len(serial)
-            for node in nodes:
-                for i in range(op_off[node], op_off[node + 1]):
-                    qid = op_q[i]
-                    ulist = uses[qid]
-                    u = next_use_idx[qid]
-                    end = len(ulist)
-                    while u < end and (ulist[u] >> 16) <= t:
-                        u += 1
-                    next_use_idx[qid] = u
-        _bill_epoch(epoch, stats)
-        if t + 1 < n_ts:
-            next_regions = ssched.regions_at(t + 1)
-            active_next = {r for r, _ in next_regions}
-            used_next: Dict[int, int] = {}
-            for r, nodes in next_regions:
-                for node in nodes:
-                    for i in range(op_off[node], op_off[node + 1]):
-                        used_next[op_q[i]] = r
-            candidates: List[Tuple[int, int]] = []
-            dead: List[int] = []
-            for qid, r in resident.items():
-                if qid in used_next:
-                    continue
-                if r not in active_next:
-                    continue
-                if next_use_idx[qid] >= len(uses[qid]):
-                    dead.append(qid)
-                    continue
-                candidates.append((serial[qid], qid))
-            for qid in dead:
-                del resident[qid]
-            candidates.sort()
-            for _, qid in candidates:
-                r = resident[qid]
-                next_region = uses[qid][next_use_idx[qid]] & 0xFFFF
-                if (
-                    next_region == r
-                    and machine.has_local_memory
-                    and mm.local_has_space(r)
-                ):
-                    dest = ("local", r)
-                    kind = "local"
-                else:
-                    dest = ("global",)
-                    kind = "teleport"
-                pending_evictions.append(
-                    Move(qubit_objs[qid], ("region", r), dest, kind)
-                )
-                mm.move(qubit_objs[qid], dest)
-                del resident[qid]
-        yield t, epoch, cur_regions
-
-
-@spanned("stream:derive_movement")
-def derive_movement_stream(
-    cols: StreamColumns,
-    ssched: StreamedSchedule,
-    machine: MultiSIMD,
-    sink: Optional[
-        Callable[[int, List[Move], List[Tuple[int, List[int]]]], None]
-    ] = None,
-) -> CommStats:
-    """Drain :func:`iter_schedule_epochs` and return the communication
-    profile; ``sink`` (if given) observes each epoch as it retires —
-    the out-of-core export hook."""
-    stats = CommStats(
-        gate_cycles=0,
-        comm_cycles=0,
-        teleports=0,
-        local_moves=0,
-        teleport_epochs=0,
-        local_epochs=0,
-    )
-    for t, epoch, regions in iter_schedule_epochs(
-        cols, ssched, machine, stats
-    ):
-        if sink is not None:
-            sink(t, epoch, regions)
-    return stats
 
 
 def engine_epochs(
@@ -907,18 +73,10 @@ def engine_epochs(
     timestep, ready for
     :func:`repro.engine.executor.run_schedule_stream`. The movement is
     derived on the fly; nothing is inflated."""
-    stats = CommStats(
-        gate_cycles=0,
-        comm_cycles=0,
-        teleports=0,
-        local_moves=0,
-        teleport_epochs=0,
-        local_epochs=0,
-    )
     gate_names = cols.gate_names
     gate_ids = cols.gate_ids
     for _, epoch, regions in iter_schedule_epochs(
-        cols, ssched, machine, stats
+        cols, ssched, machine, CommStats()
     ):
         yield epoch, [
             (r, gate_names[gate_ids[nodes[0]]], len(nodes))
@@ -927,20 +85,9 @@ def engine_epochs(
         ]
 
 
-# ---------------------------------------------------------------------------
-# Inflation (tests / small inputs)
-# ---------------------------------------------------------------------------
-
-
 def to_schedule(cols: StreamColumns, ssched: StreamedSchedule) -> Schedule:
-    """Inflate a streamed schedule to a boxed :class:`Schedule` (small
-    inputs and the differential battery only — this rematerializes the
-    full op list)."""
-    statements = [cols.operation(i) for i in range(cols.n)]
-    dag = DependenceDAG(statements)
-    sched = Schedule(dag, k=ssched.k, d=ssched.d, algorithm=ssched.algorithm)
-    for t in range(ssched.length):
-        ts = sched.append_timestep()
-        for r, nodes in ssched.regions_at(t):
-            ts.regions[r].extend(nodes)
-    return sched
+    """Inflate a streamed schedule to a boxed :class:`Schedule` over a
+    DAG rebuilt from the columns (small inputs and tests only — this
+    rematerializes the full op list)."""
+    dag = DependenceDAG([cols.operation(i) for i in range(cols.n)])
+    return ssched.inflate(dag)

@@ -137,6 +137,10 @@ class Schedule:
         self.timesteps.append(ts)
         return ts
 
+    def store_epoch(self, t: int, moves: List[Move], _regions=None) -> None:
+        """Movement sink: ``moves`` is the epoch before timestep ``t``."""
+        self.timesteps[t].moves = moves
+
     # -- shape -----------------------------------------------------------
 
     @property

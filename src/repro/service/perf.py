@@ -247,11 +247,7 @@ def _measure_scale_job(job: Dict[str, Any]) -> Dict[str, Any]:
     from ..core.dag import DependenceDAG
     from ..passes.stream import leaf_stream
     from ..sched.comm import derive_movement
-    from ..sched.stream import (
-        build_columns,
-        derive_movement_stream,
-        schedule_columns,
-    )
+    from ..sched.stream import build_columns, derive_movement_stream
     from ..toolflow import SchedulerConfig
 
     program, total = build_scale(job["kind"], job["target_gates"])
@@ -265,15 +261,7 @@ def _measure_scale_job(job: Dict[str, Any]) -> Dict[str, Any]:
             leaf_stream(program, program.entry, length_hint=total),
             window=job["window"],
         )
-        ssched = schedule_columns(
-            cols,
-            scheduler.algorithm,
-            k=job["k"],
-            d=job["d"],
-            lpfs_l=scheduler.lpfs_l,
-            lpfs_simd=scheduler.lpfs_simd,
-            lpfs_refill=scheduler.lpfs_refill,
-        )
+        ssched = scheduler.schedule_columns(cols, job["k"], job["d"])
         schedule_s = time.perf_counter() - t1
         t2 = time.perf_counter()
         stats = derive_movement_stream(cols, ssched, machine)

@@ -43,15 +43,12 @@ from .passes.optimize import optimize_program
 from .passes.resource import estimate_resources, total_gate_counts
 from .passes.stream import decomposed_gate_counts, leaf_stream, plan_flatten
 from .sched.coarse import best_dim, coarse_length_profile
-from .sched.comm import CommStats, derive_movement, naive_runtime
-from .sched.lpfs import schedule_lpfs
+from .sched.comm import CommStats, naive_runtime
 from .sched.metrics import (
     comm_speedup,
     hierarchical_critical_path,
     parallel_speedup,
 )
-from .sched.rcp import schedule_rcp
-from .sched.sequential import schedule_sequential
 from .sched.stream import (
     StreamColumns,
     StreamedSchedule,
@@ -99,19 +96,22 @@ class SchedulerConfig:
                 "(expected 'sequential', 'rcp' or 'lpfs')"
             )
 
-    def schedule(self, dag: DependenceDAG, k: int, d: Optional[int]) -> Schedule:
-        if self.algorithm == "sequential":
-            return schedule_sequential(dag, k=k, d=d)
-        if self.algorithm == "rcp":
-            return schedule_rcp(dag, k=k, d=d)
-        return schedule_lpfs(
-            dag,
-            k=k,
-            d=d,
-            l=min(self.lpfs_l, k),
-            simd=self.lpfs_simd,
-            refill=self.lpfs_refill,
+    def schedule_columns(
+        self, cols: StreamColumns, k: int, d: Optional[int]
+    ) -> StreamedSchedule:
+        return schedule_columns(
+            cols,
+            self.algorithm,
+            k,
+            d,
+            lpfs_l=self.lpfs_l,
+            lpfs_simd=self.lpfs_simd,
+            lpfs_refill=self.lpfs_refill,
         )
+
+    def schedule(self, dag: DependenceDAG, k: int, d: Optional[int]) -> Schedule:
+        cols = StreamColumns.from_dag(dag)
+        return self.schedule_columns(cols, k, d).inflate(dag)
 
 
 @dataclass
@@ -198,20 +198,63 @@ class CompileResult:
 def _verify_leaf(
     name: str,
     program_order,
-    replay_order,
+    cols: StreamColumns,
+    ssched: StreamedSchedule,
     qubits,
 ) -> None:
     """Replay-vs-program-order semantic gate for one leaf: bit-identical
     output on every lane or a :class:`VerificationError` carrying the
     minimal counterexample. Import is local so paper-scale compiles that
     never verify never touch the sim package."""
-    from .sim.reversible import VerificationError, verify_equivalent
-
-    report = verify_equivalent(
-        program_order, replay_order, qubits, label=name
+    from .sim.reversible import (
+        VerificationError,
+        streamed_schedule_ops,
+        verify_equivalent,
     )
+
+    with span("toolflow:verify"):
+        report = verify_equivalent(
+            program_order,
+            streamed_schedule_ops(cols, ssched),
+            qubits,
+            label=name,
+        )
     if not report.ok:
         raise VerificationError(name, report)
+
+
+def _schedule_leaf(
+    cols: StreamColumns,
+    scheduler: "SchedulerConfig",
+    machine: MultiSIMD,
+    widths: List[int],
+    profile: "ModuleProfile",
+    dag: Optional[DependenceDAG] = None,
+) -> Tuple[StreamedSchedule, CommStats, Optional[Schedule]]:
+    """The leaf routine both compile pipelines share: schedule ``cols``
+    at every width, derive its movement and fill ``profile``.
+
+    Returns the full-width (``machine.k``) schedule and its stats; given
+    the leaf's ``dag``, also that schedule inflated onto it, with the
+    movement epochs stored in its timesteps' ``moves``.
+    """
+    k, d = machine.k, machine.d
+    kept: Tuple[StreamedSchedule, CommStats, Optional[Schedule]]
+    for w in widths:
+        ssched = scheduler.schedule_columns(cols, w, d)
+        sched = ssched.inflate(dag) if dag is not None and w == k else None
+        stats = derive_movement_stream(
+            cols,
+            ssched,
+            machine.with_k(w),
+            sink=None if sched is None else sched.store_epoch,
+        )
+        profile.length[w] = max(ssched.length, 1)
+        profile.runtime[w] = max(stats.runtime, 1)
+        profile.comm[w] = stats
+        if w == k:
+            kept = (ssched, stats, sched)
+    return kept
 
 
 def _candidate_widths(k: int) -> List[int]:
@@ -361,25 +404,22 @@ def compile_and_schedule(
             profile = ModuleProfile(name, mod.is_leaf)
             if mod.is_leaf:
                 dag = DependenceDAG(list(mod.body))
-                for w in widths:
-                    sched = scheduler.schedule(dag, k=w, d=d)
-                    stats = derive_movement(sched, machine.with_k(w))
-                    profile.length[w] = max(sched.length, 1)
-                    profile.runtime[w] = max(stats.runtime, 1)
-                    profile.comm[w] = stats
-                    if keep_schedules and w == k:
-                        schedules[name] = sched
-                    if verify and w == k:
-                        from .sim.reversible import schedule_ops
-
-                        with span("toolflow:verify"):
-                            _verify_leaf(
-                                name,
-                                mod.operations(),
-                                schedule_ops(sched),
-                                mod.qubits(),
-                            )
-                        verified_names.append(name)
+                cols = StreamColumns.from_dag(dag)
+                ssched, _, sched = _schedule_leaf(
+                    cols,
+                    scheduler,
+                    machine,
+                    widths,
+                    profile,
+                    dag if keep_schedules else None,
+                )
+                if sched is not None:
+                    schedules[name] = sched
+                if verify:
+                    _verify_leaf(
+                        name, mod.operations(), cols, ssched, mod.qubits()
+                    )
+                    verified_names.append(name)
             else:
                 _coarse_profile(mod, profile, profiles, widths)
             profiles[name] = profile
@@ -481,8 +521,8 @@ def compile_and_schedule_streamed(
     leaf body: flattening *decisions* come from hierarchical gate
     counts (:func:`~repro.passes.stream.plan_flatten`), leaf bodies are
     lazily expanded (:func:`~repro.passes.stream.leaf_stream`) and
-    ingested into columns ``window`` ops at a time, and the columnar
-    scheduler mirrors emit bit-identical schedules to the fast path.
+    ingested into columns ``window`` ops at a time, and the same leaf
+    routine as the materialized pipeline schedules the columns.
     Peak memory is O(gates * ~50 bytes) for the columns instead of
     O(gates * ~1 KiB) for boxed ops — and independent of ``window``,
     which only bounds the boxed-op transient during ingestion.
@@ -548,36 +588,17 @@ def compile_and_schedule_streamed(
                 )
                 cols = build_columns(stream, window=window)
                 cp[name] = cols.critical_path_length()
-                for w in width_list:
-                    ssched = schedule_columns(
-                        cols,
-                        scheduler.algorithm,
-                        w,
-                        d,
-                        lpfs_l=scheduler.lpfs_l,
-                        lpfs_simd=scheduler.lpfs_simd,
-                        lpfs_refill=scheduler.lpfs_refill,
+                ssched, stats, _ = _schedule_leaf(
+                    cols, scheduler, machine, width_list, profile
+                )
+                if keep_schedules:
+                    stream_schedules[name] = ssched
+                    leaf_comm[name] = stats
+                if verify:
+                    _verify_leaf(
+                        name, iter(stream), cols, ssched, cols.qubits
                     )
-                    stats = derive_movement_stream(
-                        cols, ssched, machine.with_k(w)
-                    )
-                    profile.length[w] = max(ssched.length, 1)
-                    profile.runtime[w] = max(stats.runtime, 1)
-                    profile.comm[w] = stats
-                    if keep_schedules and w == k:
-                        stream_schedules[name] = ssched
-                        leaf_comm[name] = stats
-                    if verify and w == k:
-                        from .sim.reversible import streamed_schedule_ops
-
-                        with span("toolflow:verify"):
-                            _verify_leaf(
-                                name,
-                                iter(stream),
-                                streamed_schedule_ops(cols, ssched),
-                                cols.qubits,
-                            )
-                        verified_names.append(name)
+                    verified_names.append(name)
                 cols.release_graph()
                 if keep_schedules:
                     columns[name] = cols
@@ -585,8 +606,8 @@ def compile_and_schedule_streamed(
                 profile = ModuleProfile(name, False)
                 dmod = decompose_module(mod, synth) if synth else mod
                 _coarse_profile(dmod, profile, profiles, width_list)
-                # Mirror of hierarchical_critical_path for one module:
-                # a call weighs iterations * CP(callee).
+                # hierarchical_critical_path's recurrence for one
+                # module: a call weighs iterations * CP(callee).
                 weights = [
                     1
                     if not hasattr(stmt, "callee")

@@ -60,6 +60,20 @@ class TestCompile:
         assert main(["compile", "GSE", "--local-mem", "lots"]) == 2
         assert "bad local-memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "BF", "-k", "0"],
+            ["compile", "BF", "-d", "0"],
+            ["compile", "BF", "-k", "70000"],
+            ["compile", "BF", "-k", "70000", "--stream"],
+            ["execute", "BF", "-k", "0"],
+        ],
+    )
+    def test_bad_machine_size_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_timeline_and_profile(self, capsys):
         assert main(
             ["compile", "GSE", "-k", "2", "--timeline", "4",

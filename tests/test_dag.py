@@ -94,31 +94,6 @@ class TestPaths:
         assert slack[0] == slack[1] == slack[2] == 0
         assert slack[3] == 2  # the lone H can float anywhere
 
-    def test_longest_path_from(self):
-        # Fork: 0 -> 1 (chain of 3 via Q0), 0 -> shared op path via Q1.
-        ops = [
-            Operation("CNOT", (Q[0], Q[1])),
-            Operation("T", (Q[0],)),
-            Operation("T", (Q[0],)),
-            Operation("H", (Q[1],)),
-        ]
-        dag = DependenceDAG(ops)
-        assert dag.longest_path_from(0) == [0, 1, 2]
-
-    def test_next_longest_path_empty_ready(self):
-        dag = DependenceDAG(ops_chain(3))
-        assert dag.next_longest_path([]) == []
-
-    def test_next_longest_path_picks_tallest_head(self):
-        ops = [
-            Operation("T", (Q[0],)),  # chain of 3
-            Operation("T", (Q[0],)),
-            Operation("T", (Q[0],)),
-            Operation("H", (Q[1],)),  # chain of 1
-        ]
-        dag = DependenceDAG(ops)
-        assert dag.next_longest_path([0, 3]) == [0, 1, 2]
-
 
 class TestUtilities:
     def test_qubit_chains(self):

@@ -39,6 +39,7 @@ from repro.core.qubits import Qubit
 from repro.engine import run_schedule
 from repro.sched import (
     CoarseResult,
+    RCPWeights,
     coarse_length_profile,
     derive_movement,
     schedule_coarse,
@@ -133,12 +134,25 @@ def test_sequential_differential(ops):
     )
 
 
+# The paper's all-ones default (None) plus the zero-term settings of
+# benchmarks/bench_ablation_rcp_weights.py.
+rcp_weights = st.sampled_from(
+    [
+        None,
+        RCPWeights(0, 1, 1),
+        RCPWeights(1, 0, 1),
+        RCPWeights(1, 1, 0),
+        RCPWeights(0, 10, 0),
+    ]
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(ops=leaf_bodies(), k=ks, d=ds)
-def test_rcp_differential(ops, k, d):
+@given(ops=leaf_bodies(), k=ks, d=ds, weights=rcp_weights)
+def test_rcp_differential(ops, k, d, weights):
     dag = DependenceDAG(list(ops))
-    sched = schedule_rcp(dag, k, d)
-    ref = schedule_rcp_reference(oracle_dag(ops), k, d)
+    sched = schedule_rcp(dag, k, d, weights)
+    ref = schedule_rcp_reference(oracle_dag(ops), k, d, weights)
     assert schedule_bytes(sched) == schedule_bytes(ref)
     check_invariants(sched, dag, k, d)
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
-from repro.sched.lpfs import schedule_lpfs
+from repro.sched.columns import StreamColumns
+from repro.sched.lpfs import _claim_longest_path, _FreeList, schedule_lpfs
 from repro.sched.rcp import RCPWeights, schedule_rcp
 from repro.sched.sequential import schedule_sequential
 
@@ -184,6 +185,40 @@ class TestLPFS:
 
     def test_label(self):
         assert schedule_lpfs(chain_dag(2), k=1).algorithm == "lpfs"
+
+
+def claim_path(ops, ready):
+    """LPFS's ``getNextLongestPath`` from the given ready nodes."""
+    cols = StreamColumns.from_dag(DependenceDAG(ops))
+    free_list = _FreeList(cols, bytearray(cols.n))
+    for node in ready:
+        free_list.add(node)
+    done = bytearray(cols.n)
+    return list(_claim_longest_path(cols, cols.heights(), free_list, done))
+
+
+class TestPathClaim:
+    def test_follows_max_height_successor(self):
+        # Fork: 0 -> 1 (chain of 3 via Q0), 0 -> shared op path via Q1.
+        ops = [
+            Operation("CNOT", (Q[0], Q[1])),
+            Operation("T", (Q[0],)),
+            Operation("T", (Q[0],)),
+            Operation("H", (Q[1],)),
+        ]
+        assert claim_path(ops, [0]) == [0, 1, 2]
+
+    def test_empty_ready(self):
+        assert claim_path([Operation("T", (Q[0],))] * 3, []) == []
+
+    def test_picks_tallest_head(self):
+        ops = [
+            Operation("T", (Q[0],)),  # chain of 3
+            Operation("T", (Q[0],)),
+            Operation("T", (Q[0],)),
+            Operation("H", (Q[1],)),  # chain of 1
+        ]
+        assert claim_path(ops, [0, 3]) == [0, 1, 2]
 
 
 # --- property-based: random DAGs ------------------------------------------
