@@ -51,7 +51,7 @@ import json
 import re
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .analysis import SummaryCache
@@ -80,7 +80,7 @@ from .sched.report import (
     render_timeline,
 )
 from .sched.types import ScheduleError
-from .toolflow import SchedulerConfig, compile_and_schedule
+from .toolflow import DEFAULT_WINDOW, SchedulerConfig, compile_and_schedule
 
 __all__ = ["main", "CLIError"]
 
@@ -97,21 +97,30 @@ EXIT_SCHEDULE = 4
 class CLIError(Exception):
     """A usage or input error (unknown source, bad option value)."""
 
-    exit_code = EXIT_USAGE
-
 
 def _is_scaffold_path(source: str) -> bool:
     return source.endswith((".scaffold", ".scd"))
 
 
-def _machine(
-    args: argparse.Namespace, local_memory: Optional[float] = None
-) -> MultiSIMD:
-    """The ``-k``/``-d`` machine; a bad size is a usage error."""
+def _machine(args: argparse.Namespace) -> MultiSIMD:
+    """The ``-k``/``-d``/``--local-mem`` machine; a bad size or
+    capacity is a usage error."""
     try:
-        return MultiSIMD(k=args.k, d=args.d, local_memory=local_memory)
+        return MultiSIMD(
+            k=args.k,
+            d=args.d,
+            local_memory=parse_capacity(getattr(args, "local_mem", None)),
+        )
     except ValueError as exc:
         raise CLIError(str(exc)) from None
+
+
+def _machine_dict(machine: MultiSIMD) -> dict:
+    return {
+        "k": machine.k,
+        "d": machine.d,
+        "local_memory": machine.local_memory,
+    }
 
 
 #: Default gate count for ``scale:`` sources without an explicit size.
@@ -176,19 +185,62 @@ def _parse_scale_source(
     return kind, gates, params
 
 
-def _default_fth(source: str) -> int:
-    """Per-source flattening-threshold default: the benchmark's pinned
+def _fth(args: argparse.Namespace) -> int:
+    """``--fth``, else the per-source default: the benchmark's pinned
     value, everything for synthetic scale sources (their whole point is
     one huge leaf), 4096 otherwise."""
-    if source in BENCHMARKS:
-        return BENCHMARKS[source].fth
-    if source.startswith("scale:"):
+    if args.fth is not None:
+        return args.fth
+    if args.source in BENCHMARKS:
+        return BENCHMARKS[args.source].fth
+    if args.source.startswith("scale:"):
         return sys.maxsize
     return 4096
 
 
 def _fth_text(fth: int) -> str:
     return "all" if fth >= sys.maxsize else f"{fth:,}"
+
+
+def _at_least(args: argparse.Namespace, low: int, *flags: str) -> None:
+    """A usage error unless every named integer flag is >= ``low``."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < low:
+            raise CLIError(f"{flag} must be >= {low}, got {value}")
+
+
+def _window(args: argparse.Namespace) -> Optional[int]:
+    """``--window``: ``None`` (unbounded) for 0, the streaming default
+    when unset; a negative window is a usage error."""
+    if args.window is None:
+        return DEFAULT_WINDOW
+    if args.window < 0:
+        raise CLIError(f"--window must be >= 0, got {args.window}")
+    return args.window or None
+
+
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """``--cache-dir`` or the default store; ``None`` with
+    ``--no-cache``."""
+    from .service import default_cache_dir
+
+    if getattr(args, "no_cache", False):
+        return None
+    return args.cache_dir or str(default_cache_dir())
+
+
+def _read_source(source: str, also: str = "") -> str:
+    """The text of a source file; a missing one is a usage error that
+    names the benchmarks (and ``also``) the argument could have been."""
+    try:
+        with open(source) as fh:
+            return fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise CLIError(
+            f"{source!r} is neither a benchmark "
+            f"({', '.join(benchmark_names())}){also} nor a readable file"
+        ) from None
 
 
 def _load_program(source: str) -> Program:
@@ -203,24 +255,10 @@ def _load_program(source: str) -> Program:
 
         kind, gates, params = scale
         return build_scale(kind, gates, **params)[0]
-    try:
-        with open(source) as fh:
-            text = fh.read()
-    except (FileNotFoundError, IsADirectoryError):
-        raise CLIError(
-            f"{source!r} is neither a benchmark "
-            f"({', '.join(benchmark_names())}) nor a readable file"
-        )
+    text = _read_source(source)
     if _is_scaffold_path(source):
         return parse_scaffold(text, filename=source)
     return parse_qasm(text)
-
-
-def _parse_capacity(text: Optional[str]) -> Optional[float]:
-    try:
-        return parse_capacity(text)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -253,10 +291,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     prog = _load_program(args.source)
-    fth = args.fth
-    if fth is None:
-        fth = _default_fth(args.source)
-    machine = _machine(args, _parse_capacity(args.local_mem))
+    fth = _fth(args)
+    machine = _machine(args)
     if args.stream or args.window is not None or args.export_stream:
         return _compile_streamed(args, prog, machine, fth)
     result = compile_and_schedule(
@@ -271,37 +307,58 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(compile_result_to_dict(result), indent=2))
         return 0
+    notes = []
+    if args.strict and result.diagnostics:
+        notes.append(f"strict diagnostics: {len(result.diagnostics)} "
+                     "(warnings/info only)")
+    _print_compile_report(args, machine, fth, result, notes)
+    if args.timeline:
+        entry = result.program.entry
+        name = entry if entry in result.schedules else next(
+            n for n, p in result.profiles.items() if p.is_leaf
+        )
+        _print_timeline(args, entry, name, result.schedules[name])
+    return 0
+
+
+def _print_compile_report(
+    args: argparse.Namespace,
+    machine: MultiSIMD,
+    fth: int,
+    result,
+    notes: List[str],
+    pipeline: Optional[str] = None,
+    speedups: bool = True,
+) -> None:
+    """The metric lines ``compile`` and ``compile --stream`` share."""
     print(f"machine:            {machine}")
     print(f"scheduler:          {args.scheduler} (FTh={_fth_text(fth)})")
+    if pipeline is not None:
+        print(f"pipeline:           {pipeline}")
     print(f"total gates:        {result.total_gates:,}")
     print(f"critical path:      {result.critical_path:,} cycles")
     print(f"schedule length:    {result.schedule_length:,} cycles")
     print(f"comm-aware runtime: {result.runtime:,} cycles")
-    print(f"parallel speedup:   {result.parallel_speedup:.2f}x")
-    print(f"comm-aware speedup: {result.comm_aware_speedup:.2f}x "
-          f"(vs naive {result.naive_runtime:,})")
+    if speedups:
+        print(f"parallel speedup:   {result.parallel_speedup:.2f}x")
+        print(f"comm-aware speedup: {result.comm_aware_speedup:.2f}x "
+              f"(vs naive {result.naive_runtime:,})")
     print(f"modules flattened:  {result.flattened_percent:.0f}%")
-    if args.strict and result.diagnostics:
-        print(f"strict diagnostics: {len(result.diagnostics)} "
-              "(warnings/info only)")
+    for note in notes:
+        print(note)
     if args.profile:
         print("\nblackbox dimensions (comm-aware runtime):")
         print(profile_table(result, metric="runtime"))
-    if args.timeline:
-        entry = result.program.entry
-        sched = result.schedules.get(entry)
-        if sched is None:
-            leaves = [
-                n for n, p in result.profiles.items() if p.is_leaf
-            ]
-            print(
-                f"\n(entry {entry!r} is hierarchical; showing leaf "
-                f"{leaves[0]!r})"
-            )
-            sched = result.schedules[leaves[0]]
-        print()
-        print(render_timeline(sched, max_timesteps=args.timeline))
-    return 0
+
+
+def _print_timeline(
+    args: argparse.Namespace, entry: str, name: str, sched
+) -> None:
+    if name != entry:
+        print(f"\n(entry {entry!r} is hierarchical; showing leaf "
+              f"{name!r})")
+    print()
+    print(render_timeline(sched, max_timesteps=args.timeline))
 
 
 def _compile_streamed(
@@ -326,11 +383,7 @@ def _compile_streamed(
             "--entry-width-only is incompatible with --json (the JSON "
             "export reports all-width speedups)"
         )
-    kwargs = {}
-    if args.window is not None:
-        if args.window < 0:
-            raise CLIError(f"--window must be >= 0, got {args.window}")
-        kwargs["window"] = args.window or None
+    window = _window(args)
     widths = "entry" if args.entry_width_only else "all"
     result = compile_and_schedule_streamed(
         prog,
@@ -340,31 +393,31 @@ def _compile_streamed(
         decompose=not args.no_decompose,
         optimize=args.optimize,
         widths=widths,
-        **kwargs,
+        window=window,
     )
-    exported = None
+    entry = result.program.entry
+    leaf = entry if entry in result.stream_schedules else min(
+        result.stream_schedules, default=None
+    )
+    notes = []
     if args.export_stream:
         from .service import write_schedule_stream
 
-        entry = result.program.entry
-        name = entry if entry in result.stream_schedules else None
-        if name is None:
-            leaves = sorted(result.stream_schedules)
-            if not leaves:
-                raise CLIError(
-                    "nothing to export: no leaf schedules were "
-                    "retained (is the program all-coarse at this "
-                    "--fth?)"
-                )
-            name = leaves[0]
+        if leaf is None:
+            raise CLIError(
+                "nothing to export: no leaf schedules were "
+                "retained (is the program all-coarse at this "
+                "--fth?)"
+            )
         write_schedule_stream(
             args.export_stream,
-            result.columns[name],
-            result.stream_schedules[name],
+            result.columns[leaf],
+            result.stream_schedules[leaf],
             machine,
-            module=name,
+            module=leaf,
         )
-        exported = name
+        notes.append(f"exported leaf {leaf!r} schedule stream to "
+                     f"{args.export_stream}")
     if args.json:
         doc = compile_result_to_dict(result)
         doc["pipeline"] = "streamed"
@@ -374,38 +427,17 @@ def _compile_streamed(
     window_text = (
         "unbounded" if result.window is None else f"{result.window:,}"
     )
-    print(f"machine:            {machine}")
-    print(f"scheduler:          {args.scheduler} (FTh={_fth_text(fth)})")
-    print(f"pipeline:           streamed (window={window_text} ops, "
-          f"widths={widths})")
-    print(f"total gates:        {result.total_gates:,}")
-    print(f"critical path:      {result.critical_path:,} cycles")
-    print(f"schedule length:    {result.schedule_length:,} cycles")
-    print(f"comm-aware runtime: {result.runtime:,} cycles")
-    if widths == "all":
-        print(f"parallel speedup:   {result.parallel_speedup:.2f}x")
-        print(f"comm-aware speedup: {result.comm_aware_speedup:.2f}x "
-              f"(vs naive {result.naive_runtime:,})")
-    print(f"modules flattened:  {result.flattened_percent:.0f}%")
-    if exported is not None:
-        print(f"exported leaf {exported!r} schedule stream to "
-              f"{args.export_stream}")
-    if args.profile:
-        print("\nblackbox dimensions (comm-aware runtime):")
-        print(profile_table(result, metric="runtime"))
-    if args.timeline and result.stream_schedules:
+    _print_compile_report(
+        args, machine, fth, result, notes,
+        pipeline=f"streamed (window={window_text} ops, widths={widths})",
+        speedups=widths == "all",
+    )
+    if args.timeline and leaf is not None:
         from .sched.stream import to_schedule
 
-        leaves = sorted(result.stream_schedules)
-        entry = result.program.entry
-        name = entry if entry in result.stream_schedules else leaves[0]
-        if name != entry:
-            print(f"\n(entry {entry!r} is hierarchical; showing leaf "
-                  f"{name!r})")
-        sched = to_schedule(result.columns[name],
-                            result.stream_schedules[name])
-        print()
-        print(render_timeline(sched, max_timesteps=args.timeline))
+        _print_timeline(args, entry, leaf, to_schedule(
+            result.columns[leaf], result.stream_schedules[leaf]
+        ))
     return 0
 
 
@@ -433,15 +465,7 @@ def _lint_one(source: str) -> Tuple[DiagnosticSet, Optional[Program]]:
     if source in BENCHMARKS:
         program = BENCHMARKS[source].build()
         return analyze_program(program), program
-    try:
-        with open(source) as fh:
-            text = fh.read()
-    except (FileNotFoundError, IsADirectoryError):
-        raise CLIError(
-            f"{source!r} is neither a benchmark "
-            f"({', '.join(benchmark_names())}), 'all', nor a readable "
-            "file"
-        )
+    text = _read_source(source, also=", 'all',")
     if _is_scaffold_path(source):
         lint = lint_scaffold_source(text, filename=source)
     else:
@@ -571,14 +595,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .sim.reversible import (
         DEFAULT_EXHAUSTIVE_LIMIT,
         DEFAULT_SAMPLES,
-        NonReversibleOpError,
         compile_ops,
         streamed_schedule_ops,
         verify_equivalent,
         verify_reference,
     )
-    from .sim.specs import SpecError, bind_spec
-    from .toolflow import DEFAULT_WINDOW, compile_and_schedule_streamed
+    from .sim.specs import bind_spec
+    from .toolflow import compile_and_schedule_streamed
 
     prog = _load_program(args.source)
     if args.exhaustive and args.samples is not None:
@@ -600,7 +623,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sweep = dict(
         mode=mode, exhaustive_limit=limit, samples=samples, seed=args.seed
     )
-    window = None if args.window == 0 else (args.window or DEFAULT_WINDOW)
+    window = _window(args)
     scheduler = SchedulerConfig(args.scheduler)
     machine = _machine(args)
 
@@ -612,95 +635,84 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         return report.ok
 
-    try:
-        if args.stream is not None:
-            return _verify_stream_file(args, prog, sweep, report_line)
-        if args.spec is not None:
-            try:
-                binding = bind_spec(
-                    args.spec,
-                    prog,
-                    module=args.module,
-                    iterations=args.iterations,
-                )
-            except SpecError as exc:
-                raise CLIError(str(exc)) from None
-            print(f"spec: {binding.description}")
-            index = {q: i for i, q in enumerate(binding.qubits)}
-            instrs = compile_ops(
-                leaf_stream(prog, binding.module, decompose=False), index
-            )
-
-            def run_kernel(state) -> int:
-                for _ in range(binding.iterations):
-                    state.apply_compiled(instrs)
-                return len(instrs) * binding.iterations
-
-            report = verify_reference(
-                run_kernel,
-                binding.qubits,
-                binding.inputs,
-                binding.outputs,
-                binding.reference,
-                clean=binding.clean,
-                label=f"{binding.module} vs {binding.name} spec",
-                **sweep,
-            )
-            ok = report_line(report)
-            if ok and not args.no_schedule:
-                ok = _verify_spec_schedule(
-                    args, prog, binding, instrs, window, scheduler,
-                    sweep, report_line,
-                )
-            return 0 if ok else EXIT_LINT
-
-        # Locate any op outside the classical-permutation subset
-        # *before* paying for scheduling — the hierarchical scan costs
-        # O(source statements), not O(expanded gates).
-        from .sim.reversible import classify_gate
-
-        for name in prog.topological_order():
-            for i, op in enumerate(prog.module(name).operations()):
-                if classify_gate(op.gate) != "reversible":
-                    operands = ", ".join(repr(q) for q in op.qubits)
-                    print(
-                        f"error: module {name!r} op {i}: "
-                        f"{op.gate}({operands}) is not classically "
-                        "reversible; the verifier covers the "
-                        "X/CNOT/Toffoli/SWAP/Fredkin subset (bind an "
-                        "arithmetic kernel with --spec instead)",
-                        file=sys.stderr,
-                    )
-                    return EXIT_SCHEDULE
-
-        fth = args.fth if args.fth is not None else _default_fth(args.source)
-        result = compile_and_schedule_streamed(
-            prog,
-            machine,
-            scheduler,
-            fth=fth,
-            decompose=False,
-            window=window,
-            widths="entry",
-            keep_schedules=True,
+    if args.stream is not None:
+        return _verify_stream_file(args, prog, sweep, report_line)
+    if args.spec is not None:
+        binding = bind_spec(
+            args.spec, prog, module=args.module, iterations=args.iterations
         )
-        ok = True
-        for name in sorted(result.stream_schedules):
-            cols = result.columns[name]
-            report = verify_equivalent(
-                iter(leaf_stream(prog, name, decompose=False)),
-                streamed_schedule_ops(cols, result.stream_schedules[name]),
-                cols.qubits,
-                label=f"{name} ({scheduler.algorithm} k={machine.k})",
-                **sweep,
+        print(f"spec: {binding.description}")
+        index = {q: i for i, q in enumerate(binding.qubits)}
+        instrs = compile_ops(
+            leaf_stream(prog, binding.module, decompose=False), index
+        )
+
+        def run_kernel(state) -> int:
+            for _ in range(binding.iterations):
+                state.apply_compiled(instrs)
+            return len(instrs) * binding.iterations
+
+        report = verify_reference(
+            run_kernel,
+            binding.qubits,
+            binding.inputs,
+            binding.outputs,
+            binding.reference,
+            clean=binding.clean,
+            label=f"{binding.module} vs {binding.name} spec",
+            **sweep,
+        )
+        ok = report_line(report)
+        if ok and not args.no_schedule:
+            ok = _verify_spec_schedule(
+                args, prog, binding, instrs, window, scheduler,
+                sweep, report_line,
             )
-            ok = report_line(report) and ok
-        if not result.stream_schedules:
-            raise CLIError("no leaf schedules to verify")
         return 0 if ok else EXIT_LINT
-    except NonReversibleOpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEDULE
+
+    # Locate any op outside the classical-permutation subset
+    # *before* paying for scheduling — the hierarchical scan costs
+    # O(source statements), not O(expanded gates).
+    from .sim.reversible import classify_gate
+
+    for name in prog.topological_order():
+        for i, op in enumerate(prog.module(name).operations()):
+            if classify_gate(op.gate) != "reversible":
+                operands = ", ".join(repr(q) for q in op.qubits)
+                print(
+                    f"error: module {name!r} op {i}: "
+                    f"{op.gate}({operands}) is not classically "
+                    "reversible; the verifier covers the "
+                    "X/CNOT/Toffoli/SWAP/Fredkin subset (bind an "
+                    "arithmetic kernel with --spec instead)",
+                    file=sys.stderr,
+                )
+                return EXIT_SCHEDULE
+
+    result = compile_and_schedule_streamed(
+        prog,
+        machine,
+        scheduler,
+        fth=_fth(args),
+        decompose=False,
+        window=window,
+        widths="entry",
+        keep_schedules=True,
+    )
+    ok = True
+    for name in sorted(result.stream_schedules):
+        cols = result.columns[name]
+        report = verify_equivalent(
+            iter(leaf_stream(prog, name, decompose=False)),
+            streamed_schedule_ops(cols, result.stream_schedules[name]),
+            cols.qubits,
+            label=f"{name} ({scheduler.algorithm} k={machine.k})",
+            **sweep,
+        )
+        ok = report_line(report) and ok
+    if not result.stream_schedules:
+        raise CLIError("no leaf schedules to verify")
+    return 0 if ok else EXIT_LINT
 
 
 def _verify_stream_file(
@@ -815,16 +827,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         raise CLIError("--topology requires --deep")
     if args.deep:
         from .analysis import SummaryCache
-        from .service import CompileService, default_cache_dir
+        from .service import CompileService
 
         machine = _machine(args)
         if args.topology is not None:
             graph = _multicore_graph(args)
-        cache_dir = (
-            None
-            if args.no_cache
-            else (args.cache_dir or str(default_cache_dir()))
-        )
+        cache_dir = _cache_dir(args)
         summary_cache = (
             SummaryCache(cache_dir) if cache_dir is not None else None
         )
@@ -887,11 +895,33 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return EXIT_LINT if diags.at_least(threshold) else 0
 
 
+def _warn_invalid(kind: str, problems: List[str]) -> None:
+    for problem in problems:  # defensive; the harnesses emit valid docs
+        print(f"warning: invalid {kind} payload: {problem}", file=sys.stderr)
+
+
+def _write_report(
+    args: argparse.Namespace,
+    payload: dict,
+    kind: str,
+    validate: Callable[[dict], List[str]],
+) -> bool:
+    """Check a harness report, write it to ``-o`` and, under ``--format
+    json``, print it; True when the verb should print its text form."""
+    _warn_invalid(kind, validate(payload))
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump(payload, fh, indent=2)
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+        return False
+    return True
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .service import (
         SweepGrid,
         build_sweep_payload,
-        default_cache_dir,
         run_sweep,
         validate_sweep_payload,
     )
@@ -912,29 +942,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    jobs = grid.expand()
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
     run = run_sweep(
-        jobs,
-        cache_dir=cache_dir,
+        grid.expand(),
+        cache_dir=_cache_dir(args),
         parallel=not args.serial,
         max_workers=args.jobs,
         timeout=args.timeout,
         use_cache=not args.no_cache,
     )
     payload = build_sweep_payload(run, grid)
-    problems = validate_sweep_payload(payload)
-    for problem in problems:  # defensive; the runner emits valid docs
-        print(f"warning: invalid sweep payload: {problem}",
-              file=sys.stderr)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if _write_report(args, payload, "sweep", validate_sweep_payload):
         header = (
             f"{'benchmark':<10} {'sched':<5} {'k':>2} {'d':>4} "
             f"{'local':>6} {'status':<8} {'cache':<7} "
@@ -986,8 +1003,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         validate_perf_payload,
     )
 
-    if args.repeats < 1:
-        raise CLIError(f"--repeats must be >= 1, got {args.repeats}")
+    _at_least(args, 1, "--repeats")
     baseline = None
     if args.baseline:
         try:
@@ -1009,10 +1025,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.scale_gates is not None:
         if args.no_scale:
             raise CLIError("--scale-gates conflicts with --no-scale")
-        if args.scale_gates < 1:
-            raise CLIError(
-                f"--scale-gates must be >= 1, got {args.scale_gates}"
-            )
+        _at_least(args, 1, "--scale-gates")
         from .service import scale_perf_jobs
 
         scale_jobs = scale_perf_jobs(target_gates=args.scale_gates)
@@ -1022,17 +1035,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         scale_jobs=scale_jobs,
         scale_fresh_process=not args.scale_in_process,
     )
-    problems = validate_perf_payload(payload)
-    for problem in problems:  # defensive; run_perf emits valid docs
-        print(f"warning: invalid perf payload: {problem}",
-              file=sys.stderr)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
     fast = payload["fast"]
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if _write_report(args, payload, "perf", validate_perf_payload):
         print(
             f"pinned grid: {len(fast['per_job'])} jobs x "
             f"{payload['repeats']} repeat(s), serial, uncached"
@@ -1106,8 +1110,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_rate(text: str) -> float:
-    if text in ("inf", "infinite"):
+def _parse_rate(text: Optional[str]) -> float:
+    """A rate flag: a positive number, or ``inf`` (also when unset)."""
+    if text is None or text in ("inf", "infinite"):
         return float("inf")
     try:
         rate = float(text)
@@ -1122,54 +1127,37 @@ def _parse_rate(text: str) -> float:
 
 def _engine_config(args: argparse.Namespace):
     """Build an :class:`~repro.engine.EngineConfig` from CLI flags."""
-    import math
-
     from .arch.numa import NUMAConfig
     from .engine import EngineConfig, FaultConfig
 
-    numa = None
-    if (
-        args.banks is not None
-        or args.channel_bw is not None
-        or args.bank_egress is not None
-    ):
-        try:
+    numa = faults = None
+    try:
+        if (
+            args.banks is not None
+            or args.channel_bw is not None
+            or args.bank_egress is not None
+        ):
             numa = NUMAConfig(
                 banks=args.banks if args.banks is not None else 1,
-                channel_bandwidth=(
-                    _parse_rate(args.channel_bw)
-                    if args.channel_bw is not None
-                    else math.inf
-                ),
-                bank_egress=(
-                    _parse_rate(args.bank_egress)
-                    if args.bank_egress is not None
-                    else math.inf
-                ),
+                channel_bandwidth=_parse_rate(args.channel_bw),
+                bank_egress=_parse_rate(args.bank_egress),
             )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-    faults = None
-    if args.qecc_level is not None:
-        try:
+        if args.qecc_level is not None:
             faults = FaultConfig.from_qecc(
                 args.qecc_level,
                 epr_failure_prob=args.fault_epr,
                 region_failure_prob=args.fault_region,
                 region_downtime=args.fault_downtime,
             )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-    elif args.fault_epr or args.fault_region or args.gate_error_rate:
-        try:
+        elif args.fault_epr or args.fault_region or args.gate_error_rate:
             faults = FaultConfig(
                 epr_failure_prob=args.fault_epr,
                 region_failure_prob=args.fault_region,
                 region_downtime=args.fault_downtime,
                 gate_error_rate=args.gate_error_rate,
             )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
     return EngineConfig(
         epr_rate=_parse_rate(args.epr_rate),
         numa=numa,
@@ -1179,6 +1167,38 @@ def _engine_config(args: argparse.Namespace):
     )
 
 
+def _write_trace(path: str, payload: dict) -> int:
+    """Write an engine trace payload as a Chrome trace file; returns
+    the event count."""
+    from .engine import validate_trace_payload, write_chrome_trace
+
+    _warn_invalid("trace", validate_trace_payload(payload))
+    return write_chrome_trace(path, payload)
+
+
+def _print_faults(log, pad: str = "") -> None:
+    if log.total_events:
+        print(f"faults injected:   {pad}{log.total_events:,} "
+              f"(epr regen {log.epr_regenerations:,}, region down "
+              f"{log.region_down_events:,}, gate errors "
+              f"{log.gate_errors:,})")
+
+
+def _print_run(run, utilization: float) -> None:
+    """The runtime, stall and fault lines of a single-core engine run."""
+    stalls = run.stalls
+    ideal = run.realized_runtime == run.analytic_runtime
+    print(f"analytic runtime:  {run.analytic_runtime:,} cycles")
+    print(f"realized runtime:  {run.realized_runtime:,} cycles"
+          + ("  (= analytic)" if ideal else ""))
+    print(f"stall cycles:      {stalls.total:,} "
+          f"(epr {stalls.epr:,}, bandwidth {stalls.bandwidth:,}, "
+          f"fault {stalls.fault:,})")
+    print(f"utilization:       {100 * utilization:.1f}%")
+    print(f"teleport rounds:   {run.teleport_rounds:,}")
+    _print_faults(run.fault_log)
+
+
 def _execute_stream(args: argparse.Namespace) -> int:
     """The ``execute --stream`` path: run the engine epoch-at-a-time
     over a ``repro.schedule-stream`` export without inflating it.
@@ -1186,7 +1206,6 @@ def _execute_stream(args: argparse.Namespace) -> int:
     Traces are sampled (``--sample-every``) so even a 10^7-gate export
     can be traced; stall and fault events are always recorded.
     """
-    from .engine import EngineError, validate_trace_payload, write_chrome_trace
     from .engine.trace import build_payload
     from .service import execute_schedule_stream
 
@@ -1197,12 +1216,9 @@ def _execute_stream(args: argparse.Namespace) -> int:
         )
     if args.topology is not None:
         raise CLIError("--stream cannot be combined with --topology")
-    if args.sample_every < 1:
-        raise CLIError(
-            f"--sample-every must be >= 1, got {args.sample_every}"
-        )
+    _at_least(args, 1, "--sample-every")
     config = _engine_config(args)
-    machine = _machine(args, _parse_capacity(args.local_mem))
+    machine = _machine(args)
     try:
         header, result, comm = execute_schedule_stream(
             args.stream,
@@ -1212,10 +1228,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
         )
     except (FileNotFoundError, IsADirectoryError):
         raise CLIError(f"{args.stream!r} is not a readable file")
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(
             f"error: invalid schedule stream {args.stream!r}: {exc}",
             file=sys.stderr,
@@ -1224,14 +1237,10 @@ def _execute_stream(args: argparse.Namespace) -> int:
 
     trace_events = None
     if args.trace and result.trace is not None:
-        payload = build_payload(
+        trace_events = _write_trace(args.trace, build_payload(
             [(result.module, result.trace)],
             runtime=result.realized_runtime,
-            machine={
-                "k": machine.k,
-                "d": machine.d,
-                "local_memory": machine.local_memory,
-            },
+            machine=_machine_dict(machine),
             stats={
                 "entry": result.module,
                 "realized_runtime": result.realized_runtime,
@@ -1241,14 +1250,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
                 "faults": result.fault_log.total_events,
                 "sample_every": args.sample_every,
             },
-        )
-        problems = validate_trace_payload(payload)
-        for problem in problems:  # defensive; the engine emits valid docs
-            print(
-                f"warning: invalid trace payload: {problem}",
-                file=sys.stderr,
-            )
-        trace_events = write_chrome_trace(args.trace, payload)
+        ))
     if args.json:
         doc = result.to_dict()
         doc["stream"] = {
@@ -1262,37 +1264,17 @@ def _execute_stream(args: argparse.Namespace) -> int:
         }
         if comm is not None:
             doc["stream"]["compile_runtime"] = comm.runtime
-        doc["machine"] = {
-            "k": machine.k,
-            "d": machine.d,
-            "local_memory": machine.local_memory,
-        }
+        doc["machine"] = _machine_dict(machine)
         print(json.dumps(doc, indent=2))
         return 0
-    stalls = result.stalls
     util = result.utilization
-    avg_util = sum(util.values()) / len(util) if util else 0.0
-    ideal = result.realized_runtime == result.analytic_runtime
     print(f"machine:           {machine}")
     print(f"stream:            {args.stream} "
           f"({header.get('algorithm')}, module "
           f"{header.get('module') or '?'!r})")
     print(f"ops executed:      {result.ops_executed:,} over "
           f"{header.get('length', 0):,} timesteps")
-    print(f"analytic runtime:  {result.analytic_runtime:,} cycles")
-    print(f"realized runtime:  {result.realized_runtime:,} cycles"
-          + ("  (= analytic)" if ideal else ""))
-    print(f"stall cycles:      {stalls.total:,} "
-          f"(epr {stalls.epr:,}, bandwidth {stalls.bandwidth:,}, "
-          f"fault {stalls.fault:,})")
-    print(f"utilization:       {100 * avg_util:.1f}%")
-    print(f"teleport rounds:   {result.teleport_rounds:,}")
-    log = result.fault_log
-    if log.total_events:
-        print(f"faults injected:   {log.total_events:,} "
-              f"(epr regen {log.epr_regenerations:,}, region down "
-              f"{log.region_down_events:,}, gate errors "
-              f"{log.gate_errors:,})")
+    _print_run(result, sum(util.values()) / len(util) if util else 0.0)
     if comm is not None and comm.runtime != result.analytic_runtime:
         print(f"compile-time est.: {comm.runtime:,} cycles "
               "(footer CommStats)")
@@ -1307,14 +1289,6 @@ def _execute_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
-    from .engine import (
-        EngineError,
-        PreflightError,
-        execute_result,
-        validate_trace_payload,
-        write_chrome_trace,
-    )
-
     if args.stream is not None:
         return _execute_stream(args)
     if args.source is None:
@@ -1324,191 +1298,93 @@ def _cmd_execute(args: argparse.Namespace) -> int:
         )
     config = _engine_config(args)
     prog = _load_program(args.source)
-    fth = args.fth
-    if fth is None:
-        fth = _default_fth(args.source)
-    machine = _machine(args, _parse_capacity(args.local_mem))
-    if args.topology is not None:
-        return _execute_multicore(args, config, prog, machine, fth)
-    result = compile_and_schedule(
-        prog, machine, SchedulerConfig(args.scheduler), fth=fth
-    )
-    try:
+    fth = _fth(args)
+    machine = _machine(args)
+    scheduler = SchedulerConfig(args.scheduler)
+    machine_doc = _machine_dict(machine)
+    if args.topology is None:
+        from .engine import execute_result
+
+        result = compile_and_schedule(prog, machine, scheduler, fth=fth)
         execution = execute_result(
             result, config, preflight=not args.no_preflight
         )
-    except PreflightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for code, message, _t in exc.violations[:10]:
-            print(f"  {code}: {message}", file=sys.stderr)
-        if len(exc.violations) > 10:
-            print(
-                f"  ... {len(exc.violations) - 10} more",
-                file=sys.stderr,
-            )
-        return EXIT_SCHEDULE
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        metrics = execution.metrics()
+    else:
+        # Multi-core: -k/-d describe each *core* (the machine has
+        # --cores of them); --epr-rate throttles the per-core intra
+        # pools and --link-epr-rate the interconnect links (defaulting
+        # to the intra rate, the sweep runner's one-knob semantic).
+        from .multicore import (
+            MulticoreConfig,
+            compile_and_schedule_multicore,
+            execute_multicore_result,
+        )
 
-    trace_events = None
-    if args.trace:
-        payload = execution.to_trace_payload()
-        problems = validate_trace_payload(payload)
-        for problem in problems:  # defensive; the engine emits valid docs
-            print(
-                f"warning: invalid trace payload: {problem}",
-                file=sys.stderr,
-            )
-        trace_events = write_chrome_trace(args.trace, payload)
-    if args.json:
-        doc = execution.to_dict()
-        doc["scheduler"] = args.scheduler
-        doc["machine"] = {
-            "k": machine.k,
-            "d": machine.d,
-            "local_memory": machine.local_memory,
-        }
-        doc["metrics"] = execution.metrics()
-        print(json.dumps(doc, indent=2))
-        return 0
-    stalls = execution.stalls
-    print(f"machine:           {machine}")
-    print(f"scheduler:         {args.scheduler}")
-    print(f"entry module:      {execution.entry} "
-          f"({len(execution.leaves)} leaf, "
-          f"{len(execution.coarse)} coarse)")
-    print(f"analytic runtime:  {execution.analytic_runtime:,} cycles")
-    print(f"realized runtime:  {execution.realized_runtime:,} cycles"
-          + ("  (= analytic)" if execution.ideal_match else ""))
-    print(f"stall cycles:      {stalls.total:,} "
-          f"(epr {stalls.epr:,}, bandwidth {stalls.bandwidth:,}, "
-          f"fault {stalls.fault:,})")
-    print(f"utilization:       {100 * execution.utilization:.1f}%")
-    print(f"teleport rounds:   {execution.teleport_rounds:,}")
-    log = execution.fault_log
-    if log.total_events:
-        print(f"faults injected:   {log.total_events:,} "
-              f"(epr regen {log.epr_regenerations:,}, region down "
-              f"{log.region_down_events:,}, gate errors "
-              f"{log.gate_errors:,})")
-    if execution.leaves and any(
-        r.preflight_violations is not None
-        for r in execution.leaves.values()
-    ):
-        print("preflight:         passed (0 violations)")
-    elif args.no_preflight:
-        print("preflight:         skipped (--no-preflight)")
-    if args.trace:
-        print(f"wrote {trace_events} trace events to {args.trace} "
-              "(load in chrome://tracing or ui.perfetto.dev)")
-    return 0
-
-
-def _multicore_graph(args: argparse.Namespace):
-    """Build the :class:`~repro.multicore.CoreGraph` named by CLI
-    flags, mapping topology spelling errors to the usage contract."""
-    from .multicore import TopologyError, parse_topology
-
-    try:
-        return parse_topology(args.topology, args.cores, args.link_bw)
-    except TopologyError as exc:
-        raise CLIError(str(exc)) from None
-
-
-def _execute_multicore(
-    args: argparse.Namespace,
-    config,
-    prog,
-    machine: MultiSIMD,
-    fth: int,
-) -> int:
-    """The ``execute --topology`` path: multi-core compile + engine.
-
-    ``-k``/``-d`` describe each *core* (the machine has ``--cores`` of
-    them); ``--epr-rate`` throttles the per-core intra pools and
-    ``--link-epr-rate`` the interconnect links (defaulting to the
-    intra rate, the sweep runner's one-knob semantic).
-    """
-    from .engine import (
-        EngineError,
-        PreflightError,
-        validate_trace_payload,
-        write_chrome_trace,
-    )
-    from .multicore import (
-        MulticoreConfig,
-        PartitionError,
-        compile_and_schedule_multicore,
-        execute_multicore_result,
-    )
-
-    graph = _multicore_graph(args)
-    link_rate = (
-        _parse_rate(args.link_epr_rate)
-        if args.link_epr_rate is not None
-        else config.epr_rate
-    )
-    mc_config = MulticoreConfig(graph, link_epr_rate=link_rate)
-    try:
+        graph = _multicore_graph(args)
+        link_rate = (
+            _parse_rate(args.link_epr_rate)
+            if args.link_epr_rate is not None
+            else config.epr_rate
+        )
         result = compile_and_schedule_multicore(
             prog,
             machine,
-            mc_config,
-            SchedulerConfig(args.scheduler),
+            MulticoreConfig(graph, link_epr_rate=link_rate),
+            scheduler,
             fth=fth,
         )
-    except PartitionError as exc:
-        raise CLIError(str(exc)) from None
-    try:
         execution = execute_multicore_result(
             result, config, preflight=not args.no_preflight
         )
-    except PreflightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for code, message, _t in exc.violations[:10]:
-            print(f"  {code}: {message}", file=sys.stderr)
-        if len(exc.violations) > 10:
-            print(
-                f"  ... {len(exc.violations) - 10} more",
-                file=sys.stderr,
-            )
-        return EXIT_SCHEDULE
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    trace_events = None
+        metrics = {**result.metrics(), **execution.metrics()}
+        machine_doc.update(
+            cores=graph.cores, topology=graph.name, link_bw=args.link_bw
+        )
     if args.trace:
-        payload = execution.to_trace_payload()
-        problems = validate_trace_payload(payload)
-        for problem in problems:  # defensive; the engine emits valid docs
-            print(
-                f"warning: invalid trace payload: {problem}",
-                file=sys.stderr,
-            )
-        trace_events = write_chrome_trace(args.trace, payload)
+        trace_events = _write_trace(args.trace, execution.to_trace_payload())
     if args.json:
         doc = execution.to_dict()
         doc["scheduler"] = args.scheduler
-        doc["machine"] = {
-            "k": machine.k,
-            "d": machine.d,
-            "local_memory": machine.local_memory,
-            "cores": graph.cores,
-            "topology": graph.name,
-            "link_bw": args.link_bw,
-        }
-        doc["metrics"] = {**result.metrics(), **execution.metrics()}
+        doc["machine"] = machine_doc
+        doc["metrics"] = metrics
         print(json.dumps(doc, indent=2))
         return 0
-    stalls = execution.stalls
-    print(f"machine:            {graph.cores} x {machine} "
-          f"[{graph.name}, link bw {args.link_bw:g}]")
-    print(f"scheduler:          {args.scheduler}")
-    print(f"entry module:       {execution.entry} "
+    if args.topology is None:
+        print(f"machine:           {machine}")
+        wide = ""
+    else:
+        print(f"machine:            {graph.cores} x {machine} "
+              f"[{graph.name}, link bw {args.link_bw:g}]")
+        wide = " "
+    print(f"scheduler:         {wide}{args.scheduler}")
+    print(f"entry module:      {wide}{execution.entry} "
           f"({len(execution.leaves)} leaf, "
           f"{len(execution.coarse)} coarse)")
+    if args.topology is None:
+        _print_run(execution, execution.utilization)
+        if execution.leaves and any(
+            r.preflight_violations is not None
+            for r in execution.leaves.values()
+        ):
+            print("preflight:         passed (0 violations)")
+        elif args.no_preflight:
+            print("preflight:         skipped (--no-preflight)")
+    else:
+        _print_multicore_run(execution, result)
+        if args.no_preflight:
+            print("preflight:          skipped (--no-preflight)")
+    if args.trace:
+        lanes = "" if args.topology is None else "one lane per core; "
+        print(f"wrote {trace_events} trace events to {args.trace} "
+              f"({lanes}load in chrome://tracing or ui.perfetto.dev)")
+    return 0
+
+
+def _print_multicore_run(execution, result) -> None:
+    """The makespan, stall, inter-core and fault lines of a multi-core
+    engine run."""
+    stalls = execution.stalls
     print(f"analytic makespan:  {execution.analytic_runtime:,} cycles")
     print(f"realized makespan:  {execution.realized_runtime:,} cycles"
           + ("  (= analytic)" if execution.ideal_match else ""))
@@ -1523,51 +1399,34 @@ def _execute_multicore(
           + ("ok (realized == analytic + stalls per leaf)"
              if execution.decomposition_ok else "VIOLATED"))
     print(f"utilization:        {100 * execution.utilization:.1f}%")
-    log = execution.fault_log
-    if log.total_events:
-        print(f"faults injected:    {log.total_events:,} "
-              f"(epr regen {log.epr_regenerations:,}, region down "
-              f"{log.region_down_events:,}, gate errors "
-              f"{log.gate_errors:,})")
-    if args.no_preflight:
-        print("preflight:          skipped (--no-preflight)")
-    if args.trace:
-        print(f"wrote {trace_events} trace events to {args.trace} "
-              "(one lane per core; load in chrome://tracing or "
-              "ui.perfetto.dev)")
-    return 0
+    _print_faults(execution.fault_log, pad=" ")
+
+
+def _multicore_graph(args: argparse.Namespace):
+    """The :class:`~repro.multicore.CoreGraph` named by the
+    ``--topology``/``--cores``/``--link-bw`` flags."""
+    from .multicore import parse_topology
+
+    return parse_topology(args.topology, args.cores, args.link_bw)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from .multicore import (
-        MulticoreConfig,
-        PartitionError,
-        compile_and_schedule_multicore,
-    )
+    from .multicore import MulticoreConfig, compile_and_schedule_multicore
 
     prog = _load_program(args.source)
-    fth = args.fth
-    if fth is None:
-        fth = (
-            BENCHMARKS[args.source].fth
-            if args.source in BENCHMARKS
-            else 4096
-        )
+    fth = _fth(args)
     graph = _multicore_graph(args)
     machine = _machine(args)
     config = MulticoreConfig(
         graph, seed=args.seed, refine=not args.no_refine
     )
-    try:
-        result = compile_and_schedule_multicore(
-            prog,
-            machine,
-            config,
-            SchedulerConfig(args.scheduler),
-            fth=fth,
-        )
-    except PartitionError as exc:
-        raise CLIError(str(exc)) from None
+    result = compile_and_schedule_multicore(
+        prog,
+        machine,
+        config,
+        SchedulerConfig(args.scheduler),
+        fth=fth,
+    )
     if args.format == "json":
         doc = {
             "source": args.source,
@@ -1631,25 +1490,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from .server import ReproServer, ServerConfig
-    from .service import default_cache_dir
 
-    if args.workers < 1:
-        raise CLIError(f"--workers must be >= 1, got {args.workers}")
-    if args.queue_depth < 1:
-        raise CLIError(
-            f"--queue-depth must be >= 1, got {args.queue_depth}"
-        )
+    _at_least(args, 1, "--workers", "--queue-depth")
     if args.rate is not None and args.rate <= 0:
         raise CLIError(f"--rate must be positive, got {args.rate}")
     if args.job_timeout is not None and args.job_timeout <= 0:
         raise CLIError(
             f"--job-timeout must be positive, got {args.job_timeout}"
         )
-    cache_dir = (
-        None
-        if args.no_cache
-        else (args.cache_dir or str(default_cache_dir()))
-    )
+    cache_dir = _cache_dir(args)
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -1703,15 +1552,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             f"unknown benchmark {args.benchmark!r} "
             f"(have {', '.join(benchmark_names())})"
         )
-    for name, value in (
-        ("--clients", args.clients),
-        ("--storm", args.storm),
-        ("--rounds", args.rounds),
-    ):
-        if value < 1:
-            raise CLIError(f"{name} must be >= 1, got {value}")
-    if args.distinct < 0:
-        raise CLIError(f"--distinct must be >= 0, got {args.distinct}")
+    _at_least(args, 1, "--clients", "--storm", "--rounds")
+    _at_least(args, 0, "--distinct")
     config = LoadTestConfig(
         host=args.host,
         port=args.port,
@@ -1740,18 +1582,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         )
     else:
         payload = run_loadtest(config)
-    problems = validate_service_payload(payload)
-    for problem in problems:  # defensive; the harness emits valid docs
-        print(
-            f"warning: invalid service payload: {problem}",
-            file=sys.stderr,
-        )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if _write_report(args, payload, "service", validate_service_payload):
         print(render_service_report(payload))
         if args.output:
             print(f"wrote {args.output}")
@@ -1764,10 +1595,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    from .service import default_cache_dir, inspect_store
+    from .service import inspect_store
 
-    cache_dir = args.cache_dir or str(default_cache_dir())
-    report = inspect_store(cache_dir)
+    report = inspect_store(_cache_dir(args))
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return 0
@@ -1813,6 +1643,150 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_source_arg(
+    p: argparse.ArgumentParser, optional: bool = False
+) -> None:
+    p.add_argument(
+        "source", nargs="?" if optional else None, default=None,
+        help=(
+            "benchmark key, QASM/Scaffold file, or synthetic "
+            "scale:<kind>[:<gates>][:wN|:qN] (e.g. scale:adder:1e7)"
+            + (" (omit with --stream)" if optional else "")
+        ),
+    )
+
+
+def _add_machine_args(
+    p: argparse.ArgumentParser,
+    d_default: Optional[int] = None,
+    scope: str = "",
+    d: bool = True,
+    local_mem: bool = False,
+) -> None:
+    """``-k``/``-d`` (and ``--local-mem``): the Multi-SIMD(k,d) machine;
+    ``scope`` qualifies what the machine is for."""
+    p.add_argument(
+        "-k", type=int, default=4, help=f"SIMD regions{scope} (default 4)"
+    )
+    if d:
+        p.add_argument(
+            "-d", type=int, default=d_default,
+            help=(
+                f"qubits per region{scope} (default "
+                f"{'unbounded' if d_default is None else d_default})"
+            ),
+        )
+    if local_mem:
+        p.add_argument(
+            "--local-mem", default=None,
+            help="scratchpad capacity per region: none, a number, or inf",
+        )
+
+
+def _add_scheduler_args(
+    p: argparse.ArgumentParser, scheduler: bool = True, fth: bool = True
+) -> None:
+    """``--scheduler`` and ``--fth``: the fine scheduler and the
+    flattening threshold."""
+    if scheduler:
+        p.add_argument(
+            "--scheduler", choices=("sequential", "rcp", "lpfs"),
+            default="lpfs",
+        )
+    if fth:
+        p.add_argument(
+            "--fth", type=int, default=None,
+            help="flattening threshold in ops (default: per-benchmark)",
+        )
+
+
+def _add_window_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--window", type=int, default=None, metavar="N",
+        help=(
+            "streaming ingestion window in ops (0 = unbounded; default "
+            "65536). Schedules are identical for every window"
+        ),
+    )
+
+
+def _add_seed_arg(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument(
+        "--seed", type=int, default=0, help=f"{what} seed (default 0)"
+    )
+
+
+def _add_topology_args(
+    p: argparse.ArgumentParser, default: Optional[str], topology_help: str
+) -> None:
+    """``--topology``/``--cores``/``--link-bw``: a multi-core machine."""
+    p.add_argument(
+        "--topology", default=default, metavar="NAME", help=topology_help
+    )
+    p.add_argument(
+        "--cores", type=int, default=2, help="core count (default 2)"
+    )
+    p.add_argument(
+        "--link-bw", type=float, default=1.0, dest="link_bw",
+        metavar="B",
+        help=(
+            "EPR pairs per teleport round per interconnect link "
+            "(default 1)"
+        ),
+    )
+
+
+def _add_cache_args(
+    p: argparse.ArgumentParser, no_cache_help: Optional[str] = None
+) -> None:
+    """``--cache-dir`` (and ``--no-cache`` when the verb can skip the
+    store)."""
+    p.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help=(
+            "artifact store directory (default $REPRO_CACHE_DIR or "
+            "./.repro-cache)"
+        ),
+    )
+    if no_cache_help is not None:
+        p.add_argument("--no-cache", action="store_true", help=no_cache_help)
+
+
+def _add_daemon_args(p: argparse.ArgumentParser) -> None:
+    """``--host``/``--port``/``--workers``: where the compile daemon
+    listens and how many warm workers it runs."""
+    p.add_argument(
+        "--host", default="127.0.0.1", help="daemon address"
+    )
+    p.add_argument(
+        "--port", type=int, default=8787,
+        help="daemon port (default 8787; serve on 0 picks a free one)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=2, metavar="N",
+        help="warm daemon worker processes (default 2)",
+    )
+
+
+def _add_output_args(
+    p: argparse.ArgumentParser, report: str, what: str
+) -> None:
+    """``-o``/``--output`` for a JSON report and the stdout
+    ``--format``."""
+    p.add_argument(
+        "-o", "--output", default=report,
+        help=f"{what} report path (default {report}; '' to skip)",
+    )
+    _add_format_arg(p, "stdout")
+
+
+def _add_format_arg(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help=f"{what} format (default text)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1830,34 +1804,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser(
         "estimate", help="hierarchical resource estimation"
     )
-    p_est.add_argument("source", help="benchmark key or QASM file")
+    _add_source_arg(p_est)
     p_est.set_defaults(fn=_cmd_estimate)
 
     p_c = sub.add_parser("compile", help="compile and schedule")
-    p_c.add_argument(
-        "source",
-        help=(
-            "benchmark key, QASM/Scaffold file, or synthetic "
-            "scale:<kind>[:<gates>] (e.g. scale:adder:1e7)"
-        ),
-    )
-    p_c.add_argument("-k", type=int, default=4, help="SIMD regions")
-    p_c.add_argument(
-        "-d", type=int, default=None,
-        help="qubits per region (default unbounded)",
-    )
-    p_c.add_argument(
-        "--scheduler", choices=("sequential", "rcp", "lpfs"),
-        default="lpfs",
-    )
-    p_c.add_argument(
-        "--local-mem", default=None,
-        help="scratchpad capacity per region: none, a number, or inf",
-    )
-    p_c.add_argument(
-        "--fth", type=int, default=None,
-        help="flattening threshold in ops (default: per-benchmark)",
-    )
+    _add_source_arg(p_c)
+    _add_machine_args(p_c, local_mem=True)
+    _add_scheduler_args(p_c)
     p_c.add_argument(
         "--optimize", action="store_true",
         help="run peephole cancellation/merging before decomposition",
@@ -1889,17 +1842,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", action="store_true",
         help=(
             "use the streaming pipeline: bounded-memory columnar "
-            "scheduling with bit-identical metrics"
+            "scheduling with bit-identical metrics (--window and "
+            "--export-stream imply it)"
         ),
     )
-    p_c.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help=(
-            "streaming ingestion window in ops (implies --stream; "
-            "0 = unbounded; default 65536). Schedules are identical "
-            "for every window"
-        ),
-    )
+    _add_window_arg(p_c)
     p_c.add_argument(
         "--export-stream", default=None, metavar="FILE",
         help=(
@@ -1924,13 +1871,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the reversible simulator"
         ),
     )
-    p_v.add_argument(
-        "source",
-        help=(
-            "benchmark key, QASM/Scaffold file, or synthetic "
-            "scale:<kind>[:<gates>][:wN] (e.g. scale:adder:1e5:w8)"
-        ),
-    )
+    _add_source_arg(p_v)
     p_v.add_argument(
         "--spec", default=None, metavar="NAME",
         help=(
@@ -1964,9 +1905,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=None, metavar="N",
         help="force a sampled sweep with N seeded inputs",
     )
-    p_v.add_argument(
-        "--seed", type=int, default=0, help="sample seed (default 0)"
-    )
+    _add_seed_arg(p_v, "sample")
     p_v.add_argument(
         "--exhaustive-limit", type=int, default=None, metavar="BITS",
         help=(
@@ -1978,27 +1917,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-schedule", action="store_true",
         help="spec mode: skip the scheduled-replay proof",
     )
-    p_v.add_argument("-k", type=int, default=4, help="SIMD regions")
-    p_v.add_argument(
-        "-d", type=int, default=None,
-        help="qubits per region (default unbounded)",
-    )
-    p_v.add_argument(
-        "--scheduler", choices=("sequential", "rcp", "lpfs"),
-        default="lpfs",
-    )
-    p_v.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="streaming ingestion window in ops (0 = unbounded)",
-    )
-    p_v.add_argument(
-        "--fth", type=int, default=None,
-        help="flattening threshold in ops (default: per-benchmark)",
-    )
+    _add_machine_args(p_v)
+    _add_scheduler_args(p_v)
+    _add_window_arg(p_v)
     p_v.set_defaults(fn=_cmd_verify)
 
     p_e = sub.add_parser("emit", help="emit hierarchical QASM")
-    p_e.add_argument("source", help="benchmark key or QASM file")
+    _add_source_arg(p_e)
     p_e.add_argument("-o", "--output", default=None)
     p_e.set_defaults(fn=_cmd_emit)
 
@@ -2012,10 +1937,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Scaffold/QASM file"
         ),
     )
-    p_l.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
+    _add_format_arg(p_l, "report")
     p_l.add_argument(
         "--fail-on", default="error", metavar="WHEN",
         help=(
@@ -2034,43 +1956,14 @@ def build_parser() -> argparse.ArgumentParser:
             "resource/communication bounds (QL502-QL504)"
         ),
     )
-    p_l.add_argument(
-        "-k", type=int, default=4,
-        help="SIMD regions assumed by --deep (default 4)",
-    )
-    p_l.add_argument(
-        "-d", type=int, default=4,
-        help="ops per region assumed by --deep (default 4)",
-    )
-    p_l.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "cache directory for --deep compile artifacts and "
-            "analysis summaries (default $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_l.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the --deep caches (fresh compute)",
-    )
-    p_l.add_argument(
-        "--topology", default=None, metavar="NAME",
-        help=(
-            "with --deep: additionally audit the multi-core pipeline "
-            "on this interconnect (line, ring, mesh, all-to-all) — "
-            "per-core schedule bounds plus the topology-aware QL503 "
-            "inter-core communication floor"
-        ),
-    )
-    p_l.add_argument(
-        "--cores", type=int, default=2,
-        help="core count for --topology (default 2)",
-    )
-    p_l.add_argument(
-        "--link-bw", type=float, default=1.0, dest="link_bw",
-        metavar="B",
-        help="EPR pairs per teleport round per link (default 1)",
+    _add_machine_args(p_l, d_default=4, scope=" assumed by --deep")
+    _add_cache_args(p_l, "disable the --deep caches (fresh compute)")
+    _add_topology_args(
+        p_l, None,
+        "with --deep: additionally audit the multi-core pipeline on "
+        "this interconnect (line, ring, mesh, all-to-all) — per-core "
+        "schedule bounds plus the topology-aware QL503 inter-core "
+        "communication floor",
     )
     p_l.set_defaults(fn=_cmd_lint)
 
@@ -2085,6 +1978,7 @@ def build_parser() -> argparse.ArgumentParser:
             "suite (default all)"
         ),
     )
+    # The grid axes are comma-separated strings SweepGrid.parse reads.
     p_b.add_argument(
         "--schedulers", default="lpfs",
         help=(
@@ -2107,10 +2001,7 @@ def build_parser() -> argparse.ArgumentParser:
             "or inf (default none)"
         ),
     )
-    p_b.add_argument(
-        "--fth", type=int, default=None,
-        help="flattening threshold in ops (default: per-benchmark)",
-    )
+    _add_scheduler_args(p_b, scheduler=False)
     p_b.add_argument(
         "--engine", action="store_true",
         help=(
@@ -2159,27 +2050,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="S",
         help="per-job timeout in seconds (default: none)",
     )
-    p_b.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "artifact store directory (default: $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_b.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the compile cache entirely",
-    )
-    p_b.add_argument(
-        "-o", "--output", default="BENCH_sweep.json",
-        help=(
-            "sweep report path (default BENCH_sweep.json; '' to skip)"
-        ),
-    )
-    p_b.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout format (default text)",
-    )
+    _add_cache_args(p_b, "bypass the compile cache entirely")
+    _add_output_args(p_b, "BENCH_sweep.json", "sweep")
     p_b.set_defaults(fn=_cmd_bench)
 
     p_p = sub.add_parser(
@@ -2201,14 +2073,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=0.25, metavar="T",
         help="allowed fractional slowdown per stage (default 0.25)",
     )
-    p_p.add_argument(
-        "-o", "--output", default="BENCH_perf.json",
-        help="perf report path (default BENCH_perf.json; '' to skip)",
-    )
-    p_p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout format (default text)",
-    )
+    _add_output_args(p_p, "BENCH_perf.json", "perf")
     p_p.add_argument(
         "--scale-gates", type=int, default=None, metavar="N",
         help=(
@@ -2242,30 +2107,9 @@ def build_parser() -> argparse.ArgumentParser:
         "execute",
         help="execute a compiled schedule on the discrete-event engine",
     )
-    p_x.add_argument(
-        "source", nargs="?", default=None,
-        help=(
-            "benchmark key, QASM/Scaffold file, or synthetic "
-            "scale:<kind>[:<gates>] (omit with --stream)"
-        ),
-    )
-    p_x.add_argument("-k", type=int, default=4, help="SIMD regions")
-    p_x.add_argument(
-        "-d", type=int, default=None,
-        help="qubits per region (default unbounded)",
-    )
-    p_x.add_argument(
-        "--scheduler", choices=("sequential", "rcp", "lpfs"),
-        default="lpfs",
-    )
-    p_x.add_argument(
-        "--local-mem", default=None,
-        help="scratchpad capacity per region: none, a number, or inf",
-    )
-    p_x.add_argument(
-        "--fth", type=int, default=None,
-        help="flattening threshold in ops (default: per-benchmark)",
-    )
+    _add_source_arg(p_x, optional=True)
+    _add_machine_args(p_x, local_mem=True)
+    _add_scheduler_args(p_x)
     p_x.add_argument(
         "--epr-rate", default="inf", metavar="R",
         help=(
@@ -2308,29 +2152,11 @@ def build_parser() -> argparse.ArgumentParser:
             "code instead of --gate-error-rate"
         ),
     )
-    p_x.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-injection RNG seed (default 0)",
-    )
-    p_x.add_argument(
-        "--topology", default=None, metavar="NAME",
-        help=(
-            "execute on a multi-core machine: interconnect topology "
-            "(line, ring, mesh, all-to-all); -k/-d then describe "
-            "each core"
-        ),
-    )
-    p_x.add_argument(
-        "--cores", type=int, default=2,
-        help="core count (with --topology; default 2)",
-    )
-    p_x.add_argument(
-        "--link-bw", type=float, default=1.0, dest="link_bw",
-        metavar="B",
-        help=(
-            "EPR pairs per teleport round per interconnect link "
-            "(default 1)"
-        ),
+    _add_seed_arg(p_x, "fault-injection RNG")
+    _add_topology_args(
+        p_x, None,
+        "execute on a multi-core machine: interconnect topology (line, "
+        "ring, mesh, all-to-all); -k/-d then describe each core",
     )
     p_x.add_argument(
         "--link-epr-rate", default=None, metavar="R",
@@ -2377,70 +2203,27 @@ def build_parser() -> argparse.ArgumentParser:
         "partition",
         help="partition a program's qubits over a multi-core machine",
     )
-    p_pt.add_argument("source", help="benchmark key or QASM file")
-    p_pt.add_argument(
-        "-k", type=int, default=4, help="SIMD regions per core"
+    _add_source_arg(p_pt)
+    _add_machine_args(p_pt, scope=" per core")
+    _add_scheduler_args(p_pt)
+    _add_topology_args(
+        p_pt, "all-to-all",
+        "interconnect topology: line, ring, mesh, all-to-all "
+        "(default all-to-all)",
     )
-    p_pt.add_argument(
-        "-d", type=int, default=None,
-        help="qubits per region (default unbounded)",
-    )
-    p_pt.add_argument(
-        "--scheduler", choices=("sequential", "rcp", "lpfs"),
-        default="lpfs",
-    )
-    p_pt.add_argument(
-        "--topology", default="all-to-all", metavar="NAME",
-        help=(
-            "interconnect topology: line, ring, mesh, all-to-all "
-            "(default all-to-all)"
-        ),
-    )
-    p_pt.add_argument(
-        "--cores", type=int, default=2,
-        help="core count (default 2)",
-    )
-    p_pt.add_argument(
-        "--link-bw", type=float, default=1.0, dest="link_bw",
-        metavar="B",
-        help=(
-            "EPR pairs per teleport round per interconnect link "
-            "(default 1)"
-        ),
-    )
-    p_pt.add_argument(
-        "--fth", type=int, default=None,
-        help="flattening threshold in ops (default: per-benchmark)",
-    )
-    p_pt.add_argument(
-        "--seed", type=int, default=0,
-        help="partitioner determinism seed (default 0)",
-    )
+    _add_seed_arg(p_pt, "partitioner determinism")
     p_pt.add_argument(
         "--no-refine", action="store_true",
         help="skip the local-search refinement pass (greedy only)",
     )
-    p_pt.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
+    _add_format_arg(p_pt, "report")
     p_pt.set_defaults(fn=_cmd_partition)
 
     p_s = sub.add_parser(
         "serve",
         help="run the compile daemon (HTTP/JSON on asyncio)",
     )
-    p_s.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    p_s.add_argument(
-        "--port", type=int, default=8787,
-        help="bind port; 0 picks an ephemeral port (default 8787)",
-    )
-    p_s.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="warm worker processes (default 2)",
-    )
+    _add_daemon_args(p_s)
     p_s.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
         help=(
@@ -2466,16 +2249,8 @@ def build_parser() -> argparse.ArgumentParser:
             "breach (default none)"
         ),
     )
-    p_s.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "artifact store directory (default $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_s.add_argument(
-        "--no-cache", action="store_true",
-        help="compute every request fresh (coalescing still applies)",
+    _add_cache_args(
+        p_s, "compute every request fresh (coalescing still applies)"
     )
     p_s.add_argument(
         "--drain-grace", type=float, default=30.0, metavar="S",
@@ -2501,12 +2276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest",
         help="drive concurrent clients against the compile daemon",
     )
-    p_lt.add_argument(
-        "--host", default="127.0.0.1", help="daemon address"
-    )
-    p_lt.add_argument(
-        "--port", type=int, default=8787, help="daemon port"
-    )
+    _add_daemon_args(p_lt)
     p_lt.add_argument(
         "--spawn", action="store_true",
         help=(
@@ -2542,25 +2312,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", default="BF",
         help="storm benchmark key (default BF)",
     )
-    p_lt.add_argument(
-        "-k", type=int, default=4, help="storm SIMD regions"
-    )
-    p_lt.add_argument(
-        "--scheduler", choices=("sequential", "rcp", "lpfs"),
-        default="lpfs",
-    )
-    p_lt.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker count for the spawned daemon (default 2)",
-    )
-    p_lt.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory for the spawned daemon",
-    )
-    p_lt.add_argument(
-        "--no-cache", action="store_true",
-        help="spawn the daemon with caching off",
-    )
+    _add_machine_args(p_lt, scope=" of the storm requests", d=False)
+    _add_scheduler_args(p_lt, fth=False)
+    _add_cache_args(p_lt, "spawn the daemon with caching off")
     p_lt.add_argument(
         "--tenant", default=None,
         help="X-Tenant header value for every request",
@@ -2569,56 +2323,65 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=120.0, metavar="S",
         help="per-request client timeout (default 120)",
     )
-    p_lt.add_argument(
-        "-o", "--output", default="BENCH_service.json",
-        help=(
-            "service report path (default BENCH_service.json; '' to "
-            "skip)"
-        ),
-    )
-    p_lt.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout format (default text)",
-    )
+    _add_output_args(p_lt, "BENCH_service.json", "service")
     p_lt.set_defaults(fn=_cmd_loadtest)
 
     p_cs = sub.add_parser(
         "cache-stats",
         help="inspect the content-addressed artifact store",
     )
-    p_cs.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "store directory (default $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_cs.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
+    _add_cache_args(p_cs)
+    _add_format_arg(p_cs, "report")
     p_cs.set_defaults(fn=_cmd_cache_stats)
     return parser
+
+
+#: Failures every verb reports as ``error: <message>`` with one exit
+#: code, matched in order (``PreflightError`` subclasses
+#: ``EngineError``). Classes of the lazily imported subpackages are
+#: named by module path: ``main`` never imports them, since a module
+#: that was never loaded cannot have raised.
+_EXIT_CODES = (
+    (CLIError, EXIT_USAGE),
+    ((ScaffoldSyntaxError, QasmSyntaxError, ProgramValidationError),
+     EXIT_PARSE),
+    (AnalysisError, EXIT_LINT),
+    ((ScheduleError, ReplayError), EXIT_SCHEDULE),
+    ("repro.engine.executor.PreflightError", EXIT_SCHEDULE),
+    ("repro.engine.executor.EngineError", EXIT_USAGE),
+    ("repro.sim.reversible.NonReversibleOpError", EXIT_SCHEDULE),
+    ("repro.sim.specs.SpecError", EXIT_USAGE),
+    ("repro.multicore.partition.PartitionError", EXIT_USAGE),
+    ("repro.multicore.topology.TopologyError", EXIT_USAGE),
+)
+
+
+def _exit_code(exc: Exception) -> Optional[int]:
+    for kind, code in _EXIT_CODES:
+        if isinstance(kind, str):
+            module, _, name = kind.rpartition(".")
+            kind = getattr(sys.modules.get(module), name, None)
+        if kind is not None and isinstance(exc, kind):
+            return code
+    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CLIError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (
-        ScaffoldSyntaxError, QasmSyntaxError, ProgramValidationError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LINT
-    except (ScheduleError, ReplayError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEDULE
+        # A preflight refusal lists what it found.
+        violations = getattr(exc, "violations", [])
+        for rule, message, _t in violations[:10]:
+            print(f"  {rule}: {message}", file=sys.stderr)
+        if len(violations) > 10:
+            print(f"  ... {len(violations) - 10} more", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

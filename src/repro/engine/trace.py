@@ -25,6 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..schema import Also, Opt, check, one_of, where
+
 __all__ = [
     "TRACE_SCHEMA",
     "TraceEvent",
@@ -307,77 +309,33 @@ def write_chrome_trace(path: str, payload: Dict[str, Any]) -> int:
 # -- validation ----------------------------------------------------------
 
 
-def validate_trace_payload(payload: Any) -> List[str]:
-    """Structural check of a ``repro.trace/1`` document.
+_NON_NEGATIVE = where(int, lambda v: v >= 0, "expected >= 0")
 
-    Returns a list of problems (empty when valid). Hand-rolled like
-    :func:`repro.service.validate_sweep_payload`; the schema is
-    documented in ``DESIGN.md``.
-    """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != TRACE_SCHEMA:
-        problems.append(
-            f"schema: expected {TRACE_SCHEMA!r}, got "
-            f"{payload.get('schema')!r}"
-        )
-    runtime = payload.get("runtime_cycles")
-    if not isinstance(runtime, int) or runtime < 0:
-        problems.append(
-            f"runtime_cycles: expected non-negative int, got {runtime!r}"
-        )
-    if not isinstance(payload.get("machine"), dict):
-        problems.append("machine: expected object")
-    stats = payload.get("stats")
-    if not isinstance(stats, dict):
-        problems.append("stats: expected object")
-    else:
-        for key in ("utilization", "stalls"):
-            if not isinstance(stats.get(key), dict):
-                problems.append(f"stats.{key}: expected object")
-    events = payload.get("events")
-    if not isinstance(events, list):
-        return problems + ["events: expected array"]
-    for idx, e in enumerate(events):
-        where = f"events[{idx}]"
-        if not isinstance(e, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for key, types in (
-            ("name", str),
-            ("cat", str),
-            ("track", str),
-            ("start", int),
-            ("dur", int),
-        ):
-            if not isinstance(e.get(key), types):
-                problems.append(
-                    f"{where}.{key}: expected {types.__name__}, got "
-                    f"{type(e.get(key)).__name__}"
-                )
-        if e.get("cat") not in _CATEGORIES:
-            problems.append(
-                f"{where}.cat: unknown category {e.get('cat')!r}"
-            )
-        if "core" in e and not (
-            isinstance(e["core"], int) and e["core"] >= 0
-        ):
-            problems.append(
-                f"{where}.core: expected non-negative int, got "
-                f"{e['core']!r}"
-            )
-        if isinstance(e.get("start"), int) and isinstance(
-            e.get("dur"), int
-        ):
-            if e["start"] < 0 or e["dur"] < 0:
-                problems.append(f"{where}: negative time")
-            elif (
-                isinstance(runtime, int)
-                and e["start"] + e["dur"] > runtime
-            ):
-                problems.append(
-                    f"{where}: extends past runtime_cycles "
-                    f"({e['start']}+{e['dur']} > {runtime})"
-                )
-    return problems
+
+def _within_runtime(doc: Dict[str, Any], path: str) -> List[str]:
+    end = doc["runtime_cycles"]
+    return [f"{path}.events[{i}]: extends past runtime_cycles "
+            f"({e['start']}+{e['dur']} > {end})"
+            for i, e in enumerate(doc["events"])
+            if e["start"] + e["dur"] > end]
+
+
+_TRACE_SPEC = Also({
+    "schema": one_of(TRACE_SCHEMA),
+    "runtime_cycles": _NON_NEGATIVE,
+    "machine": dict,
+    "stats": {"utilization": dict, "stalls": dict},
+    "events": [{
+        "name": str,
+        "cat": where(None, _CATEGORIES.__contains__, "unknown category"),
+        "track": str,
+        "start": _NON_NEGATIVE,
+        "dur": _NON_NEGATIVE,
+        "core": Opt(_NON_NEGATIVE),
+    }],
+}, _within_runtime)
+
+
+def validate_trace_payload(payload: Any) -> List[str]:
+    """Problems with a ``repro.trace/1`` document (empty: valid)."""
+    return check(payload, _TRACE_SPEC)

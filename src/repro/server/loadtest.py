@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import asyncio
 
+from ..schema import NUM, Opt, check, nullable, one_of
 from ..service.fingerprint import PIPELINE_VERSION
 from .client import http_request
 
@@ -279,66 +280,28 @@ def build_service_payload(
     }
 
 
+_SERVICE_SPEC = {
+    "schema": one_of(SERVICE_SCHEMA),
+    "pipeline_version": str,
+    **dict.fromkeys(("created_unix", "wall_s", "throughput_rps"), NUM),
+    "config": dict.fromkeys(("clients", "storm", "distinct", "rounds"), int),
+    "requests": dict.fromkeys(
+        ("total", "ok", "errors", "storm", "distinct"), int
+    ),
+    "latency_ms": dict.fromkeys(("p50", "p95", "p99", "mean", "max"), NUM),
+    "coalesce": {
+        **dict.fromkeys(("storm_total", "storm_computes",
+                         "storm_coalesced", "storm_cached"), int),
+        "coalesce_rate": NUM,
+    },
+    "cache": {"hits": int, "hit_rate": NUM},
+    "drain": Opt(nullable({"exit_code": int, "dropped": int})),
+}
+
+
 def validate_service_payload(payload: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``BENCH_service.json`` document
-    (hand-rolled, like the sweep/perf validators)."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != SERVICE_SCHEMA:
-        problems.append(
-            f"schema: expected {SERVICE_SCHEMA!r}, got "
-            f"{payload.get('schema')!r}"
-        )
-
-    def need(obj: Any, key: str, types: Any, where: str) -> Any:
-        if not isinstance(obj, dict) or key not in obj:
-            problems.append(f"{where}: missing key {key!r}")
-            return None
-        value = obj[key]
-        if types is not None and not isinstance(value, types):
-            problems.append(
-                f"{where}.{key}: expected {types}, got "
-                f"{type(value).__name__}"
-            )
-            return None
-        return value
-
-    need(payload, "pipeline_version", str, "$")
-    need(payload, "created_unix", (int, float), "$")
-    need(payload, "wall_s", (int, float), "$")
-    need(payload, "throughput_rps", (int, float), "$")
-    config = need(payload, "config", dict, "$")
-    if config is not None:
-        for key in ("clients", "storm", "distinct", "rounds"):
-            need(config, key, int, "config")
-    requests = need(payload, "requests", dict, "$")
-    if requests is not None:
-        for key in ("total", "ok", "errors", "storm", "distinct"):
-            need(requests, key, int, "requests")
-    latency = need(payload, "latency_ms", dict, "$")
-    if latency is not None:
-        for key in ("p50", "p95", "p99", "mean", "max"):
-            need(latency, key, (int, float), "latency_ms")
-    coalesce = need(payload, "coalesce", dict, "$")
-    if coalesce is not None:
-        for key in (
-            "storm_total",
-            "storm_computes",
-            "storm_coalesced",
-            "storm_cached",
-        ):
-            need(coalesce, key, int, "coalesce")
-        need(coalesce, "coalesce_rate", (int, float), "coalesce")
-    cache = need(payload, "cache", dict, "$")
-    if cache is not None:
-        need(cache, "hits", int, "cache")
-        need(cache, "hit_rate", (int, float), "cache")
-    drain = payload.get("drain")
-    if drain is not None:
-        need(drain, "exit_code", int, "drain")
-        need(drain, "dropped", int, "drain")
-    return problems
+    """Problems with a ``BENCH_service.json`` document (empty: valid)."""
+    return check(payload, _SERVICE_SPEC)
 
 
 def render_service_report(payload: Dict[str, Any]) -> str:

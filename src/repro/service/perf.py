@@ -13,8 +13,8 @@ This module makes the pipeline's wall-clock and memory cost
   (:func:`calibration_kernel`), which measures the machine's speed
   while the grid runs;
 * a schema-versioned report (``repro.bench-perf/3`` —
-  ``BENCH_perf.json``) with a hand-rolled validator, mirroring the
-  sweep report's conventions;
+  ``BENCH_perf.json``) checked by the declarative
+  :mod:`repro.schema` checker, like the sweep report;
 * **scale jobs**: the synthetic paper-scale generators
   (:mod:`repro.benchmarks.scale`) pushed through the streamed *and*
   materialized leaf pipelines in fresh subprocesses, so each job's
@@ -45,6 +45,7 @@ import statistics
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..schema import NUM, Also, check, each, nullable, one_of, where
 from .fingerprint import PIPELINE_VERSION
 from .sweep import JobSpec, SweepGrid, SweepRun, execute_job, run_sweep
 
@@ -552,114 +553,49 @@ def build_perf_payload(
     }
 
 
-def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``BENCH_perf.json`` document.
+_SCALE_OK = {
+    "kind": str,
+    "pipeline": one_of("streamed", "materialized"),
+    **dict.fromkeys(("target_gates", "total_gates", "schedule_length"), int),
+    "elapsed_s": NUM,
+    **dict.fromkeys(("peak_rss_kb", "peak_rss_kb_per_mgate")),  # any value
+}
 
-    Returns a list of problems (empty when valid). Hand-rolled rather
-    than a jsonschema dependency, like
-    :func:`~repro.service.sweep.validate_sweep_payload`.
-    """
-    problems: List[str] = []
 
-    def need(obj: Dict[str, Any], key: str, types, where: str) -> Any:
-        if key not in obj:
-            problems.append(f"{where}: missing key {key!r}")
-            return None
-        value = obj[key]
-        if types is not None and not isinstance(value, types):
-            problems.append(
-                f"{where}.{key}: expected {types}, got "
-                f"{type(value).__name__}"
-            )
-            return None
-        return value
-
-    def check_side(side: Dict[str, Any], where: str) -> None:
-        need(side, "repeats", int, where)
-        calibration = need(side, "calibration_s", (int, float), where)
-        if calibration is not None and calibration <= 0:
-            problems.append(
-                f"{where}.calibration_s: expected a positive number"
-            )
-        need(side, "total_compute_s", (int, float), where)
-        need(side, "wall_s", (int, float), where)
-        if "peak_rss_kb" not in side:
-            problems.append(f"{where}: missing key 'peak_rss_kb'")
-        need(side, "failed_jobs", list, where)
-        stages = need(side, "stages", dict, where)
-        for name, stat in (stages or {}).items():
-            if not isinstance(stat, dict):
-                problems.append(f"{where}.stages[{name!r}]: not an object")
-                continue
-            need(stat, "calls", int, f"{where}.stages[{name!r}]")
-            need(
-                stat, "seconds", (int, float), f"{where}.stages[{name!r}]"
-            )
-        per_job = need(side, "per_job", list, where)
-        for i, job in enumerate(per_job or []):
-            if not isinstance(job, dict):
-                problems.append(f"{where}.per_job[{i}]: not an object")
-                continue
-            need(job, "label", str, f"{where}.per_job[{i}]")
-            need(job, "compute_s", (int, float), f"{where}.per_job[{i}]")
-            need(job, "status", str, f"{where}.per_job[{i}]")
-
-    def check_scale(scale: Dict[str, Any], where: str) -> None:
-        if "process_isolated" not in scale:
-            problems.append(f"{where}: missing key 'process_isolated'")
-        rows = need(scale, "jobs", list, where)
-        for i, row in enumerate(rows or []):
-            at = f"{where}.jobs[{i}]"
-            if not isinstance(row, dict):
-                problems.append(f"{at}: not an object")
-                continue
-            need(row, "label", str, at)
-            status = need(row, "status", str, at)
-            need(row, "pipeline", str, at)
-            if status != "ok":
-                continue
-            need(row, "kind", str, at)
-            need(row, "target_gates", int, at)
-            need(row, "total_gates", int, at)
-            need(row, "elapsed_s", (int, float), at)
-            need(row, "schedule_length", int, at)
-            if "peak_rss_kb" not in row:
-                problems.append(f"{at}: missing key 'peak_rss_kb'")
-            if "peak_rss_kb_per_mgate" not in row:
-                problems.append(
-                    f"{at}: missing key 'peak_rss_kb_per_mgate'"
-                )
-            if row.get("pipeline") not in ("streamed", "materialized"):
-                problems.append(
-                    f"{at}.pipeline: expected 'streamed' or "
-                    f"'materialized', got {row.get('pipeline')!r}"
-                )
-            if row.get("pipeline", "") not in row.get("label", ""):
-                problems.append(
-                    f"{at}: label must embed the pipeline mode"
-                )
-
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    schema = payload.get("schema")
-    if schema != PERF_SCHEMA:
-        problems.append(
-            f"schema: expected {PERF_SCHEMA!r}, got {schema!r}"
-        )
-    need(payload, "pipeline_version", str, "$")
-    need(payload, "created_unix", (int, float), "$")
-    need(payload, "repeats", int, "$")
-    fast = need(payload, "fast", dict, "$")
-    if fast is not None:
-        check_side(fast, "fast")
-    if "scale" not in payload:
-        problems.append("$: missing key 'scale'")
-    elif payload["scale"] is not None:
-        if not isinstance(payload["scale"], dict):
-            problems.append("$.scale: expected dict or null")
-        else:
-            check_scale(payload["scale"], "scale")
+def _scale_row(row: Dict[str, Any], path: str) -> List[str]:
+    if row["status"] != "ok":
+        return []
+    problems = check(row, _SCALE_OK, path)
+    if row["pipeline"] not in row["label"]:
+        problems.append(f"{path}: label must embed the pipeline mode")
     return problems
+
+
+_PERF_SPEC = {
+    "schema": one_of(PERF_SCHEMA),
+    "pipeline_version": str,
+    "created_unix": NUM,
+    "repeats": int,
+    "fast": {
+        "repeats": int,
+        "calibration_s": where(NUM, lambda v: v > 0, "expected > 0"),
+        **dict.fromkeys(("total_compute_s", "wall_s"), NUM),
+        "peak_rss_kb": None,
+        "failed_jobs": list,
+        "stages": each({"calls": int, "seconds": NUM}),
+        "per_job": [{"label": str, "compute_s": NUM, "status": str}],
+    },
+    "scale": nullable({
+        "process_isolated": None,
+        "jobs": [Also(dict.fromkeys(("label", "status", "pipeline"), str),
+                      _scale_row)],
+    }),
+}
+
+
+def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
+    """Problems with a ``BENCH_perf.json`` document (empty: valid)."""
+    return check(payload, _PERF_SPEC)
 
 
 def compare_perf_payloads(

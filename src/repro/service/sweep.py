@@ -38,6 +38,7 @@ from ..core.qasm import QasmSyntaxError
 from ..core.scaffold import ScaffoldSyntaxError
 from ..sched.replay import ReplayError
 from ..sched.types import ScheduleError
+from ..schema import NUM, Also, Opt, check, one_of
 from ..toolflow import SchedulerConfig
 from .core import CompileService
 from .fingerprint import PIPELINE_VERSION
@@ -58,15 +59,11 @@ __all__ = [
 #: added the opt-in engine columns (``engine_*`` metrics, ``engine`` /
 #: ``epr_rate`` job fields); ``/3`` added the multi-core axis
 #: (``topology`` / ``cores`` / ``link_bw`` job fields and the
-#: ``multicore_*`` metric columns). Older documents remain valid.
+#: ``multicore_*`` metric columns). Older documents are refused.
 SWEEP_SCHEMA = "repro.bench-sweep/3"
 
 #: Schema tags :func:`validate_sweep_payload` accepts.
-ACCEPTED_SCHEMAS = (
-    "repro.bench-sweep/1",
-    "repro.bench-sweep/2",
-    SWEEP_SCHEMA,
-)
+ACCEPTED_SCHEMAS = (SWEEP_SCHEMA,)
 
 #: Scalar metrics exported per job (attribute names on CompileResult).
 _METRIC_FIELDS = (
@@ -783,85 +780,40 @@ def build_sweep_payload(
     }
 
 
+def _finished(outcome: Dict[str, Any], path: str) -> List[str]:
+    """An ``ok`` job's metric columns, or a failed job's error."""
+    if outcome["status"] != "ok":
+        return check(outcome, {"error": dict}, path)
+    job, fields = outcome["job"], _METRIC_FIELDS
+    spec: Dict[str, Any] = {}
+    if job.get("engine"):
+        fields += _ENGINE_METRIC_FIELDS
+    if job.get("topology") is not None:
+        fields += _MULTICORE_METRIC_FIELDS
+        spec["job"] = {"cores": int, "link_bw": NUM}
+    spec["metrics"] = dict.fromkeys(fields, NUM)
+    return check(outcome, spec, path)
+
+
+_SWEEP_SPEC = {
+    "schema": one_of(*ACCEPTED_SCHEMAS),
+    "pipeline_version": str,
+    "created_unix": NUM,
+    "execution": dict,
+    "cache": {
+        **dict.fromkeys(("jobs_total", "jobs_ok", "jobs_failed", "hits"), int),
+        "hit_rate": NUM,
+    },
+    "jobs": [Also({
+        "job": {"benchmark": str, "algorithm": str, "k": int},
+        "status": one_of("ok", "timeout", "error"),
+        "elapsed_s": NUM,
+        "spans": dict,
+        "cached": Opt(one_of(None, "memory", "disk")),
+    }, _finished)],
+}
+
+
 def validate_sweep_payload(payload: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``BENCH_sweep.json`` document.
-
-    Returns a list of problems (empty when valid). Hand-rolled rather
-    than a jsonschema dependency; the schema itself is documented in
-    ``DESIGN.md``.
-    """
-    problems: List[str] = []
-
-    def need(obj: Dict[str, Any], key: str, types, where: str) -> Any:
-        if key not in obj:
-            problems.append(f"{where}: missing key {key!r}")
-            return None
-        value = obj[key]
-        if types is not None and not isinstance(value, types):
-            problems.append(
-                f"{where}.{key}: expected {types}, got "
-                f"{type(value).__name__}"
-            )
-            return None
-        return value
-
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") not in ACCEPTED_SCHEMAS:
-        problems.append(
-            f"schema: expected one of {ACCEPTED_SCHEMAS}, got "
-            f"{payload.get('schema')!r}"
-        )
-    need(payload, "pipeline_version", str, "$")
-    need(payload, "created_unix", (int, float), "$")
-    need(payload, "execution", dict, "$")
-    cache = need(payload, "cache", dict, "$")
-    if cache is not None:
-        for key in ("jobs_total", "jobs_ok", "jobs_failed", "hits"):
-            need(cache, key, int, "cache")
-        need(cache, "hit_rate", (int, float), "cache")
-    jobs = need(payload, "jobs", list, "$")
-    for idx, outcome in enumerate(jobs or []):
-        where = f"jobs[{idx}]"
-        if not isinstance(outcome, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        job = need(outcome, "job", dict, where)
-        if job is not None:
-            need(job, "benchmark", str, f"{where}.job")
-            need(job, "algorithm", str, f"{where}.job")
-            need(job, "k", int, f"{where}.job")
-        status = need(outcome, "status", str, where)
-        if status not in (None, "ok", "timeout", "error"):
-            problems.append(f"{where}.status: unknown value {status!r}")
-        need(outcome, "elapsed_s", (int, float), where)
-        need(outcome, "spans", dict, where)
-        if status == "ok":
-            metrics = need(outcome, "metrics", dict, where)
-            for name in _METRIC_FIELDS:
-                if metrics is not None:
-                    need(metrics, name, (int, float), f"{where}.metrics")
-            if (
-                metrics is not None
-                and job is not None
-                and job.get("engine")
-            ):
-                for name in _ENGINE_METRIC_FIELDS:
-                    need(metrics, name, (int, float), f"{where}.metrics")
-            if (
-                metrics is not None
-                and job is not None
-                and job.get("topology") is not None
-            ):
-                need(job, "cores", int, f"{where}.job")
-                need(job, "link_bw", (int, float), f"{where}.job")
-                for name in _MULTICORE_METRIC_FIELDS:
-                    need(metrics, name, (int, float), f"{where}.metrics")
-            if outcome.get("cached") not in (None, "memory", "disk"):
-                problems.append(
-                    f"{where}.cached: unknown value "
-                    f"{outcome.get('cached')!r}"
-                )
-        elif status in ("timeout", "error"):
-            need(outcome, "error", dict, where)
-    return problems
+    """Problems with a ``BENCH_sweep.json`` document (empty: valid)."""
+    return check(payload, _SWEEP_SPEC)

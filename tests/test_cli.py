@@ -68,6 +68,9 @@ class TestCompile:
             ["compile", "BF", "-k", "70000"],
             ["compile", "BF", "-k", "70000", "--stream"],
             ["execute", "BF", "-k", "0"],
+            ["compile", "BF", "--window", "-1"],
+            ["verify", "scale:adder:1e3:w4", "--spec", "adder",
+             "--window", "-5"],
         ],
     )
     def test_bad_machine_size_is_usage_error(self, argv, capsys):

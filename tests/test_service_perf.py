@@ -121,6 +121,12 @@ class TestPayload:
                 "calls",
             ),
             (lambda d: d.update(repeats="two"), "repeats"),
+            (
+                lambda d: d.update(
+                    scale=_scale_section([_scale_row(5, "streamed")])
+                ),
+                "jobs[0].label",
+            ),
         ]:
             doc = copy.deepcopy(payload)
             mutate(doc)
@@ -258,6 +264,26 @@ class TestPerfCLI:
         bad.write_text(json.dumps({"schema": "wrong/0"}))
         assert main(["perf", "--baseline", str(bad)]) == 2
         assert "not a valid perf document" in capsys.readouterr().err
+
+    def test_non_string_scale_label_is_usage_error(self, tmp_path,
+                                                   monkeypatch, capsys):
+        fast = _aggregate([_run([_outcome(compute_s=1.0)])])
+        doc = build_perf_payload(
+            None, 1, fast, scale=_scale_section([_scale_row(5, "streamed")])
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+
+        def no_run(**kwargs):
+            raise AssertionError("perf ran jobs despite a bad baseline")
+
+        monkeypatch.setattr("repro.service.run_perf", no_run)
+        assert main(["perf", "--baseline", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: baseline {str(bad)!r} is not a valid perf document"
+        )
+        assert "Traceback" not in err
 
     def test_failed_jobs_exit_1(self, monkeypatch, capsys):
         fast = _aggregate(

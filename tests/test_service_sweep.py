@@ -352,16 +352,17 @@ class TestEngineSweep:
         assert validate_sweep_payload(payload) == []
         assert payload["grid"]["engine"] is True
 
-    def test_validator_accepts_legacy_v1_and_v2(self, tmp_path):
+    def test_validator_rejects_legacy_schemas(self, tmp_path):
         grid = SweepGrid.parse(benchmarks="BF", ks="2")
         run = run_sweep(
             grid.expand(), cache_dir=tmp_path, parallel=False
         )
         payload = build_sweep_payload(run, grid)
-        payload["schema"] = "repro.bench-sweep/1"
-        assert validate_sweep_payload(payload) == []
-        payload["schema"] = "repro.bench-sweep/2"
-        assert validate_sweep_payload(payload) == []
+        for legacy in ("repro.bench-sweep/1", "repro.bench-sweep/2"):
+            payload["schema"] = legacy
+            problems = validate_sweep_payload(payload)
+            assert len(problems) == 1, problems
+            assert problems[0].startswith("$.schema:"), problems
 
     def test_validator_requires_engine_metrics(self, tmp_path):
         grid = SweepGrid.parse(benchmarks="BF", ks="2", engine=True)
